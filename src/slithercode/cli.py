@@ -22,11 +22,11 @@ import json
 import math
 import os
 import sys
-from itertools import permutations, product
+from itertools import permutations
 
 from . import asymptotics, codec, counting, games, trees
 from .codec import CodeError, SlitherCode
-from .trees import NORMAL, TreeError, Variant, validate_tree
+from .trees import NORMAL, TreeError, Variant, _strict_int, validate_tree
 
 # --- serialization ----------------------------------------------------------
 
@@ -82,11 +82,13 @@ def parse_code(text: str, variant: Variant, n_flag: int | None) -> SlitherCode:
     header_n, header_variant = None, None
     if stripped.startswith("{"):
         d = json.loads(stripped)
-        symbols = [int(x) for x in d.get("symbols", ())]
+        symbols = d.get("symbols", [])
+        if not isinstance(symbols, list):
+            raise CodeError(f"symbols must be a JSON list, got {symbols!r}")
         if "variant" in d:
             header_variant = Variant.parse(str(d["variant"]))
         if "n" in d:
-            header_n = int(d["n"])
+            header_n = _strict_int(d["n"], "n")
     else:
         rows = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
         rows = [r for r in rows if r]
@@ -179,7 +181,7 @@ def cmd_params(args) -> int:
     pm_normal = trees.classify(tree, NORMAL)
     pm_comply = trees.classify(tree, Variant(2))
     alpha = len(pm_normal.p_set())
-    path_edges = trees.max_capacity_edges(tree, 2)
+    path_edges = pm_comply.capacity_edges()
     out = {
         "n": tree.n,
         "root": tree.root,
@@ -232,27 +234,21 @@ def cmd_read(args) -> int:
     return 0
 
 
-def _sample_one(family: str, n: int, variant: Variant, rng) -> trees.RootedTree:
-    if family == "uniform":
-        return games.sample_uniform_rooted_tree(n, variant, rng)
-    if family == "full-binary":
-        if n % 2 == 0:
-            raise ValueError(f"full-binary needs odd n = 2m+1, got {n}")
-        deal = rng.permutation(games.Deck.full_binary((n - 1) // 2).cards())
-        return codec.decode_sequence(deal, n)
-    if family == "binary-lr":
-        perm = rng.permutation(2 * n)
-        ids = perm[: n - 1] // 2 + 1
-        return codec.decode_sequence(ids, n)
-    raise ValueError(
-        "the plane family has no tree codec here; plane supports simulate only")
-
-
 def cmd_sample(args) -> int:
     seed = resolve_seed(args.seed)
+    n = args.n
+    if args.family == "uniform":
+        draw = lambda rng: games.sample_uniform_rooted_tree(n, args.variant, rng)
+    elif args.family == "full-binary":
+        m = games.full_binary_m(n)
+        draw = lambda rng: codec.decode_sequence(games.full_binary_deal(m, rng), n)
+    elif args.family == "binary-lr":
+        draw = lambda rng: codec.decode_sequence(games.binary_lr_deal(n, rng), n)
+    else:
+        raise ValueError(
+            "the plane family has no tree codec here; plane supports simulate only")
     source = games.RandomSource(seed)
-    sampled = [_sample_one(args.family, args.n, args.variant, source.trial_rng(i))
-               for i in range(args.count)]
+    sampled = [draw(source.trial_rng(i)) for i in range(args.count)]
     if args.format == "json":
         if args.count == 1:
             emit_json(tree_to_json_dict(sampled[0]))
@@ -283,9 +279,7 @@ def cmd_simulate(args) -> int:
         if game == "dice":
             trial = lambda rng: games.dice_trial(n, rng)
         elif game == "full-binary":
-            if n % 2 == 0:
-                raise ValueError(f"full-binary needs odd n = 2m+1, got {n}")
-            m = (n - 1) // 2
+            m = games.full_binary_m(n)
             trial = lambda rng: games.full_binary_trial(m, rng)
         elif game == "binary-lr":
             trial = lambda rng: games.binary_lr_trial(n, rng)
@@ -322,9 +316,7 @@ def cmd_enumerate(args) -> int:
         if args.parameter is not None:
             raise ValueError("full-binary enumeration is the deck-read table; "
                              "--parameter applies to the uniform family")
-        if args.n % 2 == 0:
-            raise ValueError(f"full-binary needs odd n = 2m+1, got {args.n}")
-        table = counting.full_binary_table((args.n - 1) // 2)
+        table = counting.full_binary_table(games.full_binary_m(args.n))
     elif args.parameter is None:
         table = counting.independence_table(args.n)
     else:
@@ -359,15 +351,6 @@ def cmd_clt(args) -> int:
 # --- verify -----------------------------------------------------------------
 
 
-def _all_codes(n: int):
-    return product(range(1, n + 1), repeat=n - 1)
-
-
-def _capacity_formula(pm: trees.PositionMap) -> int:
-    b = pm.variant.b
-    return sum(b if c > b - 1 else c for c in pm.p_child_count.values())
-
-
 def _verify_worked_example(full: bool):
     tree = validate_tree({"n": 10, "root": 9, "parent": {
         5: 9, 2: 5, 3: 5, 1: 2, 7: 3, 6: 1, 8: 1, 4: 6, 10: 4}})
@@ -393,7 +376,7 @@ def _verify_bijection(full: bool):
     for b in (1, 2, 3):
         for n in range(1, nmax + 1):
             seen = set()
-            for digits in _all_codes(n):
+            for digits in counting.all_codes(n):
                 t = codec.slither_decode(SlitherCode(n=n, variant=Variant(b),
                                                      symbols=digits))
                 if t.key() in seen:
@@ -408,7 +391,7 @@ def _verify_bijection(full: bool):
 def _verify_reads(full: bool):
     nmax = 6 if full else 5
     for n in range(2, nmax + 1):
-        for digits in _all_codes(n):
+        for digits in counting.all_codes(n):
             t = codec.decode_sequence(digits, n)
             pm = trees.classify(t, NORMAL)
             code = SlitherCode(n=n, variant=NORMAL, symbols=digits)
@@ -422,7 +405,7 @@ def _verify_reads(full: bool):
                 return False, f"matching read wrong for {digits} n={n}"
             for b in (2, 3):
                 tb = codec.decode_sequence(digits, n, Variant(b))
-                want = _capacity_formula(trees.classify(tb, Variant(b)))
+                want = trees.classify(tb, Variant(b)).capacity_edges()
                 got = codec.read_capacity_edges(
                     SlitherCode(n=n, variant=Variant(b), symbols=digits), b)[1]
                 if got != want:
@@ -467,7 +450,7 @@ def _verify_full_binary(full: bool):
 def _verify_capacity_oracle(full: bool):
     nmax = 6 if full else 5
     for n in range(2, nmax + 1):
-        for digits in _all_codes(n):
+        for digits in counting.all_codes(n):
             t = codec.decode_sequence(digits, n)
             for b in (1, 2, 3):
                 if trees.max_capacity_edges(t, b) != trees.bf_max_capacity_edges(t, b):

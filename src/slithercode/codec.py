@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .trees import COMPLY, NORMAL, RootedTree, Variant, classify
+from .trees import COMPLY, NORMAL, RootedTree, Variant, _strict_int, classify
 
 
 class CodeError(ValueError):
@@ -46,7 +46,7 @@ class SlitherCode:
         if self.n < 1:
             raise CodeError(f"n must be >= 1, got {self.n}")
         try:
-            sym = tuple(int(s) for s in self.symbols)
+            sym = tuple(map(_strict_int, self.symbols))
         except (TypeError, ValueError):
             raise CodeError(f"non-integer symbol in {self.symbols!r}") from None
         object.__setattr__(self, "symbols", sym)

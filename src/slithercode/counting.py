@@ -104,6 +104,8 @@ def count_independence(n: int, alpha: int) -> int:
 
 def independence_table(n: int) -> DistributionTable:
     """Distribution of the independence number over uniform unrooted trees."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     counts = {a: count_independence(n, a) for a in range(1, n + 1)}
     counts = {a: c for a, c in counts.items() if c}
     table = DistributionTable(family="uniform-unrooted", parameter="independence",
@@ -148,6 +150,8 @@ def count_full_binary(m: int, alpha: int) -> int:
 
 
 def full_binary_table(m: int) -> DistributionTable:
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
     counts = {a: count_full_binary(m, a) for a in range(1, 2 * m + 1)}
     counts = {a: c for a, c in counts.items() if c}
     table = DistributionTable(family="full-binary-deck", parameter="independence",
@@ -156,6 +160,11 @@ def full_binary_table(m: int) -> DistributionTable:
     if table.total != expect:
         raise AssertionError(f"deck counts for m={m} sum to {table.total}, expected {expect}")
     return table
+
+
+def all_codes(n: int):
+    """Every sequence in [n]^(n-1), lazily and in lexicographic order."""
+    return product(range(1, n + 1), repeat=n - 1)
 
 
 def _check_budget(n: int, budget: int):
@@ -183,25 +192,17 @@ def exact_rooted_distribution(n: int, parameter: str = "independence", b: int = 
         raise ValueError(f"unknown parameter {parameter!r}, expected one of {_ROOTED_PARAMETERS}")
     _check_budget(n, budget)
 
-    if parameter == "capacity_edges":
-        variant = Variant(b)
-    elif parameter in ("path_edges", "path_cover"):
-        variant = Variant(2)
-    else:
-        variant = Variant(1)
+    # each parameter is the capacity-edge count at some b, or n minus it: at
+    # b=1 the count is the matching number and n minus it the independence
+    # number, at b=2 it is the path edges and n minus it the path cover
+    variant = Variant({"capacity_edges": b, "path_edges": 2, "path_cover": 2}.get(parameter, 1))
+    complement = parameter in ("independence", "path_cover")
 
     counts: dict[int, int] = {}
-    for digits in product(range(1, n + 1), repeat=n - 1):
+    for digits in all_codes(n):
         tree = slither_decode(SlitherCode(n=n, variant=variant, symbols=digits))
-        pm = classify(tree, variant)
-        bb = variant.b
-        if parameter == "independence":
-            value = len(pm.p_set())
-        elif parameter == "matching":
-            value = n - len(pm.p_set())
-        else:
-            edges = sum(bb if c > bb - 1 else c for c in pm.p_child_count.values())
-            value = n - edges if parameter == "path_cover" else edges
+        edges = classify(tree, variant).capacity_edges()
+        value = n - edges if complement else edges
         counts[value] = counts.get(value, 0) + 1
     return DistributionTable(family="uniform-rooted", parameter=parameter, n=n,
                              counts=dict(sorted(counts.items())))
@@ -211,11 +212,8 @@ def exact_dice_distribution(n: int, budget: int = _ENUM_BUDGET) -> DistributionT
     """Exact dice-game stop distribution: coupon read over all n^(n-1) throws."""
     _check_budget(n, budget)
     counts: dict[int, int] = {}
-    if n == 1:
-        counts[1] = 1
-    else:
-        for digits in product(range(1, n + 1), repeat=n - 1):
-            a = games.coupon_read(digits, n)
-            counts[a] = counts.get(a, 0) + 1
+    for digits in all_codes(n):
+        a = games.coupon_read(digits, n)
+        counts[a] = counts.get(a, 0) + 1
     return DistributionTable(family="dice", parameter="alpha", n=n,
                              counts=dict(sorted(counts.items())))

@@ -24,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .codec import SlitherCode, prefix_alpha, prufer_decode, slither_decode
+from .codec import decode_sequence, prefix_alpha, prufer_decode
 from .trees import NORMAL, RootedTree, Variant
 
 _MASK64 = (1 << 64) - 1
@@ -62,13 +62,15 @@ def coupon_read(sequence, n: int) -> int:
     return prefix_alpha(sequence, n)
 
 
-def dice_trial(n: int, rng: np.random.Generator) -> int:
+def dice_deal(n: int, rng: np.random.Generator) -> np.ndarray:
+    """n-1 throws of an n-sided die; as a code they are a uniform rooted tree."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if n == 1:
-        return 1
-    throws = rng.integers(1, n + 1, size=n - 1)
-    return coupon_read(throws, n)
+    return rng.integers(1, n + 1, size=n - 1)
+
+
+def dice_trial(n: int, rng: np.random.Generator) -> int:
+    return coupon_read(dice_deal(n, rng), n)
 
 
 @dataclass(frozen=True)
@@ -116,16 +118,28 @@ class Deck:
 
 
 def card_trial(deck: Deck, rng: np.random.Generator) -> int:
-    if deck.n == 1:
-        return 1
     return coupon_read(rng.permutation(deck.cards()), deck.n)
 
 
+def full_binary_m(n: int) -> int:
+    """Internal-vertex count m of the full binary trees on n = 2m+1 vertices."""
+    if n < 3 or n % 2 == 0:
+        raise ValueError(f"full-binary needs odd n = 2m+1 >= 3, got {n}")
+    return (n - 1) // 2
+
+
+def full_binary_deal(m: int, rng: np.random.Generator) -> np.ndarray:
+    """Shuffled deck of two cards of each of 1..m: the cards of Deck.full_binary(m)."""
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
+    return rng.permutation(np.repeat(np.arange(1, m + 1), 2))
+
+
 def full_binary_trial(m: int, rng: np.random.Generator) -> int:
-    return card_trial(Deck.full_binary(m), rng)
+    return coupon_read(full_binary_deal(m, rng), 2 * m + 1)
 
 
-def binary_lr_trial(n: int, rng: np.random.Generator) -> int:
+def binary_lr_deal(n: int, rng: np.random.Generator) -> np.ndarray:
     """Deck of 2n cards (v, left/right side), deal n-1, sides ignored.
 
     Models uniform binary trees with distinguished left/right children; the
@@ -133,14 +147,14 @@ def binary_lr_trial(n: int, rng: np.random.Generator) -> int:
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if n == 1:
-        return 1
-    perm = rng.permutation(2 * n)
-    ids = perm[: n - 1] // 2 + 1
-    return coupon_read(ids, n)
+    return rng.permutation(2 * n)[: n - 1] // 2 + 1
 
 
-def plane_trial(n: int, rng: np.random.Generator) -> int:
+def binary_lr_trial(n: int, rng: np.random.Generator) -> int:
+    return coupon_read(binary_lr_deal(n, rng), n)
+
+
+def plane_deal(n: int, rng: np.random.Generator) -> np.ndarray:
     """Shuffle n numbered red cards into n black cards.
 
     Red card j gets label b_j = number of black cards before it; the
@@ -150,27 +164,29 @@ def plane_trial(n: int, rng: np.random.Generator) -> int:
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if n == 1:
-        return 1
     perm = rng.permutation(2 * n)
     is_black = perm >= n
     blacks_before = np.cumsum(is_black) - is_black
     labels = np.empty(n, dtype=np.int64)
     labels[perm[~is_black]] = blacks_before[~is_black]
-    return coupon_read(labels[: n - 1], n)
+    return labels[: n - 1]
+
+
+def plane_trial(n: int, rng: np.random.Generator) -> int:
+    return coupon_read(plane_deal(n, rng), n)
 
 
 def sample_uniform_rooted_tree(n: int, variant: Variant = NORMAL,
                                rng: np.random.Generator | None = None) -> RootedTree:
     """Exactly uniform over the n^(n-1) rooted labelled trees.
 
-    Uniform symbols -> uniform trees, by bijectivity; the variant changes
-    which tree a given symbol draw maps to but not the distribution.
+    The dice throws are the code: uniform symbols -> uniform trees, by
+    bijectivity; the variant changes which tree a given throw sequence maps
+    to but not the distribution.
     """
     if rng is None:
         rng = RandomSource(fresh_seed()).trial_rng(0)
-    symbols = () if n == 1 else tuple(int(s) for s in rng.integers(1, n + 1, size=n - 1))
-    return slither_decode(SlitherCode(n=n, variant=variant, symbols=symbols))
+    return decode_sequence(dice_deal(n, rng).tolist(), n, variant)
 
 
 def sample_uniform_labelled_tree(n: int, rng: np.random.Generator | None = None):

@@ -35,7 +35,7 @@ class Variant:
     b: int
 
     def __post_init__(self):
-        if not isinstance(self.b, int) or self.b < 1:
+        if not isinstance(self.b, int) or isinstance(self.b, bool) or self.b < 1:
             raise ValueError(f"capacity must be a positive integer, got {self.b!r}")
 
     @property
@@ -113,6 +113,21 @@ class RootedTree:
         return (self.n, self.root, tuple(sorted(self.parent.items())))
 
 
+def _strict_int(value, what: str = "value") -> int:
+    """int(value) for ints, numpy integers and integral strings only.
+
+    Outside input goes through here instead of int(), which truncates 1.9
+    to 1 and reads True as 1.  Raises ValueError for anything else.
+    """
+    # exact int and str first: this runs once per label or symbol
+    if type(value) is int:
+        return value
+    if type(value) is str or (isinstance(value, (int, np.integer, str))
+                              and not isinstance(value, bool)):
+        return int(value)
+    raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
 def validate_tree(data) -> RootedTree:
     """Build a RootedTree from a dict, a (n, root, parent) triple, or pairs.
 
@@ -130,8 +145,8 @@ def validate_tree(data) -> RootedTree:
         raise TreeError(f"cannot interpret {type(data).__name__} as a rooted tree")
 
     try:
-        n = int(data["n"])
-    except (KeyError, TypeError, ValueError):
+        n = _strict_int(data["n"])
+    except (KeyError, ValueError):
         raise TreeError("missing or non-integer vertex count n") from None
     if n < 1:
         raise TreeError(f"n must be >= 1, got {n}")
@@ -145,8 +160,8 @@ def validate_tree(data) -> RootedTree:
     parent: dict[int, int] = {}
     for c, p in pairs:
         try:
-            c, p = int(c), int(p)
-        except (TypeError, ValueError):
+            c, p = _strict_int(c), _strict_int(p)
+        except ValueError:
             raise TreeError(f"non-integer labels in parent entry ({c!r}, {p!r})") from None
         if not (1 <= c <= n) or not (1 <= p <= n):
             raise TreeError(f"label out of range 1..{n} in parent entry ({c}, {p})")
@@ -164,8 +179,13 @@ def validate_tree(data) -> RootedTree:
     root = rootless[0]
 
     declared = data.get("root")
-    if declared is not None and int(declared) != root:
-        raise TreeError(f"declared root {declared} but vertex {root} has no parent")
+    if declared is not None:
+        try:
+            declared = _strict_int(declared)
+        except ValueError:
+            raise TreeError(f"non-integer declared root {declared!r}") from None
+        if declared != root:
+            raise TreeError(f"declared root {declared} but vertex {root} has no parent")
 
     # each non-root vertex has exactly one parent, so any unreachable part
     # of the functional graph must close a cycle
@@ -227,6 +247,17 @@ class PositionMap:
 
     def labels(self) -> dict[int, str]:
         return {v: self.label(v) for v in sorted(self.p_child_count)}
+
+    def capacity_edges(self) -> int:
+        """Largest edge set in which every vertex has degree <= b.
+
+        Each N-vertex supports b edges, each P-vertex one per P-child.  At
+        b=1 a vertex is N exactly when it has a P-child, so this is the
+        number of N-vertices: the matching number, n minus the independence
+        number.
+        """
+        b = self.variant.b
+        return sum(b if c > b - 1 else c for c in self.p_child_count.values())
 
 
 def classify(tree: RootedTree, variant: Variant = NORMAL) -> PositionMap:
@@ -290,18 +321,8 @@ def matching_certificate(tree: RootedTree) -> MatchingCertificate:
 
 
 def max_capacity_edges(tree: RootedTree, b: int) -> int:
-    """Largest edge set in which every vertex has degree <= b.
-
-    From the capacity-b classification: each N-vertex supports b edges,
-    each P-vertex one per P-child.  b=1 gives the matching number.
-    """
-    if b < 1:
-        raise ValueError(f"capacity must be >= 1, got {b}")
-    pm = classify(tree, Variant(b))
-    total = 0
-    for v, c in pm.p_child_count.items():
-        total += b if c > b - 1 else c
-    return total
+    """Largest edge set in which every vertex has degree <= b."""
+    return classify(tree, Variant(b)).capacity_edges()
 
 
 @dataclass(frozen=True)

@@ -139,6 +139,18 @@ def test_sample_full_binary_rejects_even_n(capsys):
     assert rc == 2 and "odd n" in err
 
 
+@pytest.mark.parametrize(
+    "argv, fragment",
+    (
+        (("sample", "--family", "uniform", "--n", "0"), "n must be >= 1, got 0"),
+        (("sample", "--family", "full-binary", "--n", "1"), "odd n"),
+    ),
+)
+def test_sample_rejects(capsys, argv, fragment):
+    rc, _, err = run_cli(capsys, *argv, "--seed", "1")
+    assert rc == 2 and fragment in err
+
+
 def test_sample_plane_points_at_simulate(capsys):
     rc, _, err = run_cli(capsys, "sample", "--family", "plane", "--n", "6", "--seed", "1")
     assert rc == 2 and "simulate only" in err
@@ -224,6 +236,9 @@ def test_enumerate_parameter_sweep(capsys):
         ("enumerate", "--n", "8", "--parameter", "independence"),
         ("enumerate", "--n", "6", "--family", "full-binary"),
         ("enumerate", "--n", "7", "--family", "full-binary", "--parameter", "matching"),
+        ("enumerate", "--n", "0"),
+        ("enumerate", "--n", "-3"),
+        ("enumerate", "--n", "1", "--family", "full-binary"),
     ),
 )
 def test_enumerate_rejects(capsys, argv):
@@ -276,6 +291,21 @@ def test_malformed_inputs_exit_2(capsys):
     assert rc == 2
     rc, _, err = run_cli(capsys, "params", "{bad json")
     assert rc == 2
+
+
+@pytest.mark.parametrize(
+    "argv, fragment",
+    (
+        (("decode", "--variant", "normal", '{"symbols":[1.5, 2.9]}'), "non-integer symbol"),
+        (("decode", "--variant", "normal", '{"symbols":[true, 1]}'), "non-integer symbol"),
+        (("decode", "--variant", "normal", '{"symbols":"12"}'), "must be a JSON list"),
+        (("params", '{"n":3,"parent":{"2":1.9,"3":1}}'), "non-integer labels"),
+    ),
+)
+def test_non_integral_json_exits_2(capsys, argv, fragment):
+    # int() would truncate 1.9, read true as 1 and iterate "12" as digits
+    rc, out, err = run_cli(capsys, *argv)
+    assert rc == 2 and out == "" and fragment in err
 
 
 def test_unknown_subcommand_exits_via_argparse():

@@ -84,6 +84,8 @@ def test_code_normalizes_symbols():
         (4, (1, 2, 9), "out of range"),
         (4, (1, "x", 2), "non-integer symbol"),
         (0, (), "n must be >= 1"),
+        (3, (1.5, 2.9), "non-integer symbol"),
+        (3, (True, 1), "non-integer symbol"),
     ),
 )
 def test_code_rejects(n, symbols, fragment):

@@ -19,6 +19,8 @@ from slithercode import (
     stirling2,
 )
 
+from slithercode.counting import all_codes
+
 from conftest import multiset_permutations, stirling2_oracle
 
 
@@ -142,6 +144,19 @@ def test_rooted_capacity_table():
 def test_dice_equals_rooted_independence_small():
     for n in (2, 3, 4, 5):
         assert exact_dice_distribution(n).counts == exact_rooted_distribution(n).counts
+
+
+def test_all_codes_is_every_sequence_in_order():
+    assert list(all_codes(1)) == [()]
+    assert list(all_codes(3)) == [(a, b) for a in (1, 2, 3) for b in (1, 2, 3)]
+    assert sum(1 for _ in all_codes(5)) == 5**4
+
+
+@pytest.mark.parametrize("table, size", ((independence_table, 0), (independence_table, -3),
+                                         (full_binary_table, 0)))
+def test_tables_reject_empty_sizes(table, size):
+    with pytest.raises(ValueError, match="must be >= 1"):
+        table(size)
 
 
 def test_enumeration_budget():

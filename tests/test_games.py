@@ -27,6 +27,11 @@ from slithercode import (
     tv_distance,
 )
 
+from slithercode.codec import decode_sequence
+from slithercode.games import (binary_lr_deal, dice_deal, full_binary_deal, full_binary_m,
+                               plane_deal)
+from slithercode.trees import COMPLY, NORMAL
+
 from conftest import multiset_permutations
 
 
@@ -122,7 +127,54 @@ def test_lr_and_plane_trials_stay_in_range(n, seed):
     assert 1 <= plane_trial(n, rng) <= n - 1
 
 
+# --- deals ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "deal, trial, size, n",
+    (
+        (dice_deal, dice_trial, 9, 9),
+        (full_binary_deal, full_binary_trial, 4, 9),
+        (binary_lr_deal, binary_lr_trial, 9, 9),
+        (plane_deal, plane_trial, 9, 9),
+        (plane_deal, plane_trial, 1, 1),
+    ),
+)
+def test_each_trial_is_the_coupon_read_of_its_deal(deal, trial, size, n):
+    for i in range(20):
+        cards = deal(size, RandomSource(3).trial_rng(i))
+        assert len(cards) == n - 1
+        assert trial(size, RandomSource(3).trial_rng(i)) == coupon_read(cards, n)
+
+
+def test_full_binary_deal_shuffles_the_full_binary_deck():
+    # the same cards in the same order, so the same draws give the same deal
+    for m in (1, 3, 40):
+        want = np.random.default_rng(m).permutation(Deck.full_binary(m).cards())
+        assert (full_binary_deal(m, np.random.default_rng(m)) == want).all()
+
+
+@pytest.mark.parametrize("deal", (dice_deal, full_binary_deal, binary_lr_deal, plane_deal))
+def test_deals_check_their_size(deal):
+    with pytest.raises(ValueError, match="must be >= 1, got 0"):
+        deal(0, np.random.default_rng(0))
+
+
+def test_full_binary_m():
+    assert [full_binary_m(n) for n in (3, 5, 501)] == [1, 2, 250]
+    for n in (-1, 0, 1, 2, 6):
+        with pytest.raises(ValueError, match="odd n"):
+            full_binary_m(n)
+
+
 # --- samplers ---------------------------------------------------------------
+
+
+def test_uniform_rooted_sampler_decodes_the_dice_deal():
+    for variant in (NORMAL, COMPLY):
+        tree = sample_uniform_rooted_tree(9, variant, RandomSource(4).trial_rng(0))
+        throws = dice_deal(9, RandomSource(4).trial_rng(0))
+        assert tree == decode_sequence(throws, 9, variant)
 
 
 def test_uniform_rooted_sampler_hits_all_nine_trees_uniformly():

@@ -75,6 +75,10 @@ def test_validate_passthrough_identity():
         ({"n": 0, "parent": {}}, "n must be >= 1"),
         ({"parent": {}}, "missing or non-integer"),
         (42, "cannot interpret"),
+        ({"n": 3, "parent": {2: 1.9, 3: 1}}, "non-integer labels"),
+        ({"n": 3, "parent": {2: True, 3: 1}}, "non-integer labels"),
+        ({"n": 3.0, "parent": {2: 1, 3: 1}}, "non-integer vertex count"),
+        ({"n": 3, "root": 1.0, "parent": {2: 1, 3: 1}}, "non-integer declared root"),
     ),
 )
 def test_validate_rejects(data, fragment):
@@ -97,6 +101,11 @@ def test_variant_parse(text, b):
 def test_variant_parse_rejects(text):
     with pytest.raises(ValueError):
         Variant.parse(text)
+
+
+def test_variant_rejects_bool():
+    with pytest.raises(ValueError, match="positive integer"):
+        Variant(True)
 
 
 def test_variant_names():
@@ -206,6 +215,14 @@ def test_strategic_set_size_and_degrees(t, b):
 @settings(max_examples=60)
 def test_capacity_edges_match_brute_force(t, b):
     assert max_capacity_edges(t, b) == bf_max_capacity_edges(t, b)
+
+
+@given(trees, st.integers(1, 4))
+def test_capacity_edges_of_a_classification(t, b):
+    pm = classify(t, Variant(b))
+    assert pm.capacity_edges() == max_capacity_edges(t, b) == len(strategic_set(t, b).edges)
+    if b == 1:
+        assert pm.capacity_edges() == t.n - len(pm.p_set()) == matching_number(t)
 
 
 def test_strategic_b1_is_the_certificate_matching(fig1):
