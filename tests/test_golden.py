@@ -5,11 +5,19 @@ counts are pinned byte for byte, so a refactor of the dealing, reading or
 counting code that changes what a user sees fails here first.  The sizes
 are small (n <= 200, 300 trials) and the whole module runs in well under a
 second.
+
+The codec digests pin decode and encode at n = 2000, well past the
+exhaustive sweeps (n <= 7), where many parents become ready behind the
+pruning scan's pointer.
 """
 
+import hashlib
+
+import numpy as np
 import pytest
 
-from slithercode import cli
+from slithercode import cli, codec
+from slithercode.trees import Variant
 
 GOLDEN = (
     ('simulate --game dice --n 200 --trials 300 --seed 11 --threads 1',
@@ -250,3 +258,29 @@ GOLDEN = (
 def test_golden_stdout(capsys, argv, expected):
     assert cli.main(argv.split()) == 0
     assert capsys.readouterr().out == expected
+
+
+# (b, seed, sha256 of tree_to_text(decoded), sha256 of code_to_text(re-encoded))
+CODEC_DIGESTS = (
+    (1, 2001, "c3f17230393406a2f87c88ed649633297d290e8d86384d4c1f395c2addf6d48f",
+     "c7d720377de684ddbdaba70a90328322555ed41c3df0d16bb1e3fa430ff294ec"),
+    (2, 2002, "cd74333bb747cf6a7de61c5e63ee5b83ace4fbe1a65624cfff8054da24fabbcc",
+     "4acd1c99fab551adb660303734094482286b0ecd7bd0d0e7e6673641caa64e51"),
+    (3, 2003, "7489ca2175e5dd2875171b5775324f250f19d538a8bd2c26f6c06e72effc02a7",
+     "c52ed98a7b74a95d2d4e716ad3f172490c495fd78a261dbfb836baf5eaf9fdd5"),
+)
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("b, seed, tree_digest, code_digest", CODEC_DIGESTS,
+                         ids=[f"b={b}" for b, *_ in CODEC_DIGESTS])
+def test_golden_codec_n2000(b, seed, tree_digest, code_digest):
+    n = 2000
+    sym = tuple(int(s) for s in np.random.default_rng(seed).integers(1, n + 1, size=n - 1))
+    tree = codec.slither_decode(codec.SlitherCode(n, Variant(b), sym))
+    assert _sha256(cli.tree_to_text(tree)) == tree_digest
+    code, _ = codec.slither_encode(tree, Variant(b))
+    assert _sha256(cli.code_to_text(code)) == code_digest
