@@ -235,6 +235,8 @@ def cmd_read(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    if args.count < 1:
+        raise ValueError(f"--count must be >= 1, got {args.count}")
     seed = resolve_seed(args.seed)
     n = args.n
     if args.family == "uniform":

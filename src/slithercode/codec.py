@@ -3,12 +3,12 @@
 A slither code of a rooted tree on 1..n is a sequence of n-1 symbols from
 1..n, one per non-root vertex, built by repeatedly deleting the
 smallest-labelled leaf of the shrinking tree and recording its parent.
-Unlike the classical Prufer code, the recording position depends on the
-deleted vertex's game classification in the ORIGINAL tree: parents of
-P-vertices fill the leftmost open slot, parents of N-vertices the
-rightmost.  Every sequence in [n]^(n-1) arises from exactly one tree, for
-every capacity variant, which is what makes uniform random sequences
-uniform random rooted trees.
+The recording position depends on the deleted vertex's game class in the
+ORIGINAL tree: parents of P-vertices fill the leftmost open slot, parents
+of N-vertices the rightmost.  Under capacity b = n every vertex is P, so
+the classical Prufer code is the code of the tree rooted at n less its
+last symbol, n.  Every sequence in [n]^(n-1) arises from exactly one tree,
+for every variant: uniform random sequences are uniform random trees.
 
 Decoding never looks at the variant's name, only its capacity b, and
 recovers classifications on the fly: a vertex's class is known once its
@@ -21,7 +21,6 @@ degree-constrained edge counts for b >= 2.
 
 from __future__ import annotations
 
-import heapq
 from collections import Counter
 from dataclasses import dataclass
 
@@ -47,14 +46,46 @@ class SlitherCode:
             raise CodeError(f"n must be >= 1, got {self.n}")
         try:
             sym = tuple(map(_strict_int, self.symbols))
-        except (TypeError, ValueError):
-            raise CodeError(f"non-integer symbol in {self.symbols!r}") from None
+        except ValueError:
+            raise _symbol_error(self.symbols) from None
         object.__setattr__(self, "symbols", sym)
         if len(sym) != self.n - 1:
             raise CodeError(f"expected {self.n - 1} symbols for n={self.n}, got {len(sym)}")
         for s in sym:
             if not (1 <= s <= self.n):
                 raise CodeError(f"symbol {s} out of range 1..{self.n}")
+
+
+def _symbol_error(symbols) -> CodeError:
+    """Name the first symbol that is not an integer, and its index."""
+    try:
+        for i, s in enumerate(symbols):
+            _strict_int(s)
+    except ValueError:
+        return CodeError(f"non-integer symbol {s!r} at index {i}")
+    return CodeError(f"symbols must be a sequence of integers, got {type(symbols).__name__}")
+
+
+def _prune(pending: list[int], steps: int, parent_of) -> None:
+    """Delete `steps` vertices, smallest ready first; v is ready at pending[v] == 0.
+
+    parent_of(v) records the deletion of v and returns its parent, whose
+    pending count drops by one.  Only that parent can become ready, and if
+    it lies below the scan pointer it is the smallest ready vertex, so a
+    forward pointer plus that one candidate replaces a heap.  Every code,
+    the classical Prufer code included, is built and read by this scan.
+    """
+    ptr = v = pending.index(0, 1)
+    for _ in range(steps):
+        p = parent_of(v)
+        pending[p] -= 1
+        if pending[p] == 0 and p < ptr:
+            v = p
+        else:
+            ptr += 1
+            while pending[ptr]:
+                ptr += 1
+            v = ptr
 
 
 def slither_encode(tree: RootedTree, variant: Variant = NORMAL):
@@ -65,31 +96,26 @@ def slither_encode(tree: RootedTree, variant: Variant = NORMAL):
     child whose parent is code.symbols[i].  It is always a permutation of
     the non-root vertices.
     """
-    n = tree.n
-    pm = classify(tree, variant)
+    n, parent = tree.n, tree.parent
+    is_p = classify(tree, variant).is_p
     nchild = [0] * (n + 1)
-    for p in tree.parent.values():
+    for p in parent.values():
         nchild[p] += 1
-
-    code = [0] * (n - 1)
-    aux = [0] * (n - 1)
+    code, aux = [0] * (n - 1), [0] * (n - 1)
     left, right = 0, n - 2
-    heap = [v for v in range(1, n + 1) if nchild[v] == 0 and v != tree.root]
-    heapq.heapify(heap)
-    while heap:
-        v = heapq.heappop(heap)
-        p = tree.parent[v]
-        if pm.is_p(v):
-            code[left] = p
-            aux[left] = v
+
+    def parent_of(v):
+        nonlocal left, right
+        p = parent[v]
+        if is_p(v):
+            code[left], aux[left] = p, v
             left += 1
         else:
-            code[right] = p
-            aux[right] = v
+            code[right], aux[right] = p, v
             right -= 1
-        nchild[p] -= 1
-        if nchild[p] == 0 and p != tree.root:
-            heapq.heappush(heap, p)
+        return p
+
+    _prune(nchild, n - 1, parent_of)
     if left != right + 1:
         raise AssertionError("slot pointers did not meet")
     return SlitherCode(n=n, variant=variant, symbols=tuple(code)), tuple(aux)
@@ -105,31 +131,25 @@ def slither_decode(code: SlitherCode) -> RootedTree:
     subtree's classification.
     """
     n, b, sym = code.n, code.variant.b, code.symbols
-    if n == 1:
-        return RootedTree(n=1, root=1, parent={})
-
-    occ = Counter(sym)
-    drawn = [0] * (n + 1)
-    pdrawn = [0] * (n + 1)
+    pending, pdrawn = [0] * (n + 1), [0] * (n + 1)
+    for s in sym:
+        pending[s] += 1
     parent: dict[int, int] = {}
     left, right = 0, n - 2
 
-    ready = [v for v in range(1, n + 1) if occ[v] == 0]
-    heapq.heapify(ready)
-    for _ in range(n - 1):
-        v = heapq.heappop(ready)
-        if pdrawn[v] <= b - 1:
+    def parent_of(v):
+        nonlocal left, right
+        if pdrawn[v] < b:
             p = sym[left]
             left += 1
-            pdrawn[p] = pdrawn[p] + 1
+            pdrawn[p] += 1
         else:
             p = sym[right]
             right -= 1
         parent[v] = p
-        drawn[p] += 1
-        if drawn[p] == occ[p]:
-            heapq.heappush(ready, p)
+        return p
 
+    _prune(pending, n - 1, parent_of)
     roots = [v for v in range(1, n + 1) if v not in parent]
     if len(roots) != 1:
         raise AssertionError("decode left more than one parentless vertex")
@@ -291,30 +311,27 @@ def prufer_encode(n: int, edges) -> tuple[int, ...]:
     """Classical Prufer sequence of a labelled unrooted tree, length n-2."""
     if n < 2:
         return ()
-    adj: dict[int, set[int]] = {v: set() for v in range(1, n + 1)}
+    adj: list[list[int]] = [[] for _ in range(n + 1)]
     count = 0
     for u, v in edges:
         u, v = int(u), int(v)
         if not (1 <= u <= n and 1 <= v <= n) or u == v:
             raise CodeError(f"bad edge ({u}, {v}) for n={n}")
-        adj[u].add(v)
-        adj[v].add(u)
+        adj[u].append(v)
+        adj[v].append(u)
         count += 1
     if count != n - 1:
         raise CodeError(f"expected {n - 1} edges, got {count}")
-
-    heap = [v for v in range(1, n + 1) if len(adj[v]) == 1]
-    heapq.heapify(heap)
-    seq = []
-    for _ in range(n - 2):
-        u = heapq.heappop(heap)
-        (v,) = adj[u]
-        seq.append(v)
-        adj[v].discard(u)
-        adj[u].clear()
-        if len(adj[v]) == 1:
-            heapq.heappush(heap, v)
-    return tuple(seq)
+    parent, stack = {}, [n]
+    while stack:
+        u = stack.pop()
+        for w in adj[u]:
+            if w != n and w not in parent:
+                parent[w] = u
+                stack.append(w)
+    if len(parent) != n - 1:
+        raise CodeError(f"the {n - 1} edges do not connect all {n} vertices")
+    return slither_encode(RootedTree(n=n, root=n, parent=parent), Variant(n))[0].symbols[:-1]
 
 
 def prufer_decode(symbols) -> list[tuple[int, int]]:
@@ -322,24 +339,7 @@ def prufer_decode(symbols) -> list[tuple[int, int]]:
 
     Returns the edge list sorted with each edge as (min, max).
     """
-    sym = tuple(int(s) for s in symbols)
+    sym = tuple(symbols)
     n = len(sym) + 2
-    for s in sym:
-        if not (1 <= s <= n):
-            raise CodeError(f"symbol {s} out of range 1..{n}")
-    degree = [1] * (n + 1)
-    for s in sym:
-        degree[s] += 1
-    heap = [v for v in range(1, n + 1) if degree[v] == 1]
-    heapq.heapify(heap)
-    edges = []
-    for s in sym:
-        u = heapq.heappop(heap)
-        edges.append((min(u, s), max(u, s)))
-        degree[s] -= 1
-        if degree[s] == 1:
-            heapq.heappush(heap, s)
-    u = heapq.heappop(heap)
-    v = heapq.heappop(heap)
-    edges.append((min(u, v), max(u, v)))
-    return sorted(edges)
+    tree = slither_decode(SlitherCode(n=n, variant=Variant(n), symbols=sym + (n,)))
+    return sorted((min(c, p), max(c, p)) for c, p in tree.parent.items())

@@ -25,7 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from .codec import decode_sequence, prefix_alpha, prufer_decode
-from .trees import NORMAL, RootedTree, Variant
+from .trees import NORMAL, RootedTree, Variant, _strict_int
 
 _MASK64 = (1 << 64) - 1
 
@@ -87,7 +87,7 @@ class Deck:
     multiplicities: tuple[int, ...]
 
     def __post_init__(self):
-        mult = tuple(int(m) for m in self.multiplicities)
+        mult = tuple(_strict_int(m, "multiplicity") for m in self.multiplicities)
         object.__setattr__(self, "multiplicities", mult)
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")

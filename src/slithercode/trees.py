@@ -17,7 +17,6 @@ decomposes the tree into a minimum path cover.
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -309,15 +308,10 @@ def matching_certificate(tree: RootedTree) -> MatchingCertificate:
 
     Every N-vertex has a P-child by definition, and a P-child has a P or N
     parent but is itself paired at most once, so the edges are disjoint and
-    there are exactly n - |P| of them.
+    there are exactly n - |P| of them.  This is the b=1 strategic set: under
+    b=1 a P-vertex has no P-child, so only N-vertices contribute an edge.
     """
-    pm = classify(tree, NORMAL)
-    ch = tree.children_lists()
-    edges = []
-    for v in sorted(pm.n_set()):
-        mate = min(c for c in ch[v] if pm.is_p(c))
-        edges.append((v, mate))
-    return MatchingCertificate(edges=tuple(edges))
+    return MatchingCertificate(edges=strategic_set(tree, 1).edges)
 
 
 def max_capacity_edges(tree: RootedTree, b: int) -> int:

@@ -144,6 +144,8 @@ def test_sample_full_binary_rejects_even_n(capsys):
     (
         (("sample", "--family", "uniform", "--n", "0"), "n must be >= 1, got 0"),
         (("sample", "--family", "full-binary", "--n", "1"), "odd n"),
+        (("sample", "--family", "uniform", "--n", "5", "--count", "0"), "--count"),
+        (("sample", "--family", "uniform", "--n", "5", "--count", "-3"), "--count"),
     ),
 )
 def test_sample_rejects(capsys, argv, fragment):
@@ -306,6 +308,16 @@ def test_non_integral_json_exits_2(capsys, argv, fragment):
     # int() would truncate 1.9, read true as 1 and iterate "12" as digits
     rc, out, err = run_cli(capsys, *argv)
     assert rc == 2 and out == "" and fragment in err
+
+
+def test_long_code_with_one_bad_symbol_gives_a_short_error(capsys, tmp_path):
+    symbols = [1] * 99_997
+    symbols[50_000] = 1.5
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps({"symbols": symbols}))
+    rc, out, err = run_cli(capsys, "decode", "--variant", "normal", str(path))
+    assert rc == 2 and out == ""
+    assert len(err.encode()) < 200 and "1.5" in err and "50000" in err
 
 
 def test_unknown_subcommand_exits_via_argparse():

@@ -1,5 +1,7 @@
 """Encode/decode round trips and the prefix reading rules."""
 
+from itertools import product
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -86,6 +88,9 @@ def test_code_normalizes_symbols():
         (0, (), "n must be >= 1"),
         (3, (1.5, 2.9), "non-integer symbol"),
         (3, (True, 1), "non-integer symbol"),
+        (5, [1, 2, 1.5, 3], r"^non-integer symbol 1\.5 at index 2$"),
+        # a one-shot iterator is spent by the first pass, so only its type is named
+        (2, iter(["x"]), "sequence of integers, got list_iterator"),
     ),
 )
 def test_code_rejects(n, symbols, fragment):
@@ -120,6 +125,28 @@ def test_encode_decode_identity(n, seed, variant):
     t = random_tree(n, seed)
     code, _ = slither_encode(t, variant)
     assert slither_decode(code) == t
+
+
+def definitional_encode(tree, variant):
+    """Delete the smallest leaf of the shrinking tree, one at a time: O(n^2)."""
+    pm = classify(tree, variant)
+    alive = dict(tree.parent)
+    left, right = [], []
+    while alive:
+        inner = set(alive.values())
+        v = min(c for c in alive if c not in inner)
+        (left if pm.is_p(v) else right).append((alive.pop(v), v))
+    return tuple(zip(*(left + right[::-1])))
+
+
+@given(st.integers(2, 150), st.integers(0, 2**32 - 1), st.integers(1, 4))
+@settings(max_examples=60)
+def test_encode_matches_the_definition(n, seed, b):
+    # past n = 7 many parents become ready behind the pruning scan's pointer
+    t = random_tree(n, seed)
+    for variant in (capacity(b), capacity(n)):
+        code, aux = slither_encode(t, variant)
+        assert (code.symbols, aux) == definitional_encode(t, variant)
 
 
 @given(codes(max_n=32))
@@ -217,6 +244,29 @@ def test_prufer_star():
 def test_prufer_two_vertices():
     assert prufer_encode(2, [(1, 2)]) == ()
     assert prufer_decode(()) == [(1, 2)]
+
+
+@pytest.mark.parametrize(
+    "call",
+    (
+        lambda: prufer_encode(3, [(1, 2), (1, 2)]),  # repeated edge, vertex 3 isolated
+        lambda: prufer_encode(4, [(1, 2), (2, 3), (3, 1)]),  # cycle, vertex 4 isolated
+        lambda: prufer_decode((1.9,)),
+    ),
+    ids=("repeated-edge", "cycle", "float-symbol"),
+)
+def test_prufer_rejects(call):
+    with pytest.raises(CodeError):
+        call()
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_prufer_exhaustive_cayley(n):
+    seqs = list(product(range(1, n + 1), repeat=n - 2))
+    trees = {tuple(prufer_decode(s)) for s in seqs}
+    assert len(trees) == len(seqs) == n ** (n - 2)
+    for s in seqs:
+        assert prufer_encode(n, prufer_decode(s)) == s
 
 
 @given(st.integers(2, 50), st.integers(0, 2**32 - 1))

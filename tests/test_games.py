@@ -104,6 +104,8 @@ def test_deck_for_tree_matches_out_degrees(fig1):
         (4, (1, 1, 1, 1), "must hold n-1"),
         (0, (), "n must be >= 1"),
         (4, (-1, 2, 1, 1), "negative multiplicity"),
+        (3, (1.9, 1.2, 0), "multiplicity must be an integer"),
+        (3, (True, 1, 0), "multiplicity must be an integer"),
     ),
 )
 def test_deck_rejects(n, mult, fragment):

@@ -227,7 +227,7 @@ def test_capacity_edges_of_a_classification(t, b):
 
 def test_strategic_b1_is_the_certificate_matching(fig1):
     t = fig1["tree"]
-    assert set(strategic_set(t, 1).edges) == set(matching_certificate(t).edges)
+    assert strategic_set(t, 1).edges == matching_certificate(t).edges
 
 
 # --- path cover -------------------------------------------------------------
