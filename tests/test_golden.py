@@ -16,7 +16,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from slithercode import cli, codec
+from slithercode import cli, codec, trees
 from slithercode.trees import Variant
 
 GOLDEN = (
@@ -275,12 +275,48 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def _decoded_n2000(b: int, seed: int):
+    n = 2000
+    sym = tuple(int(s) for s in np.random.default_rng(seed).integers(1, n + 1, size=n - 1))
+    return codec.slither_decode(codec.SlitherCode(n, Variant(b), sym))
+
+
 @pytest.mark.parametrize("b, seed, tree_digest, code_digest", CODEC_DIGESTS,
                          ids=[f"b={b}" for b, *_ in CODEC_DIGESTS])
 def test_golden_codec_n2000(b, seed, tree_digest, code_digest):
-    n = 2000
-    sym = tuple(int(s) for s in np.random.default_rng(seed).integers(1, n + 1, size=n - 1))
-    tree = codec.slither_decode(codec.SlitherCode(n, Variant(b), sym))
+    tree = _decoded_n2000(b, seed)
     assert _sha256(cli.tree_to_text(tree)) == tree_digest
     code, _ = codec.slither_encode(tree, Variant(b))
     assert _sha256(cli.code_to_text(code)) == code_digest
+
+
+# The same three trees: sha256 of the repr of the encode auxiliary, of
+# [classify(tree, Variant(k)).labels() for k in 1, 2, 3], of
+# strategic_set(tree, 2).edges and of path_cover_decomposition(tree).
+CLASS_DIGESTS = (
+    (1, 2001, "99d4bf35323799cc134fc411016dc94fdc463844415b4edc988685c4a09678f6",
+     "1ed44fa67cf99f0d60cf35ce5a70e69b3c7c0ced7412e25ff15be46aae8defec",
+     "1167e4e6d840c4ace7e84fdc6e5a8f96352cece1f465d9366ea48f5ce460106f",
+     "0c6d2bf1af94ec36c731baed21dea9d1c1ae37be9fb51c22b8a47c3df708732f"),
+    (2, 2002, "274e7f6c425561ca77dd2af604adfd4a6c5d59c6e0562e059949da2912970e44",
+     "958b4d8fb77bf433ef3cb8af89929728c3b6f9e574928b0b0b21c0bd55f3300f",
+     "6eb292bd99a8b1ac38771986c08b85d6b3dc3651ffae14de6f566f4ede75d856",
+     "5215d0f05611e4ecbcbc0f4b736a1da45a82745243a2ceb983cd90934bff90dd"),
+    (3, 2003, "857d151469135177cb79fd63dcb648ba63d8bdeffb328a2d7f55ed1a4a71606a",
+     "d155036228801e3b122dac36fc60cd317319a960eaba90d632111d64a532e95a",
+     "03c3f81a72f7eb9ff79fb0973b78b3a114082e917d2c9694a1133a42157f2252",
+     "09eb6b21d487b4f51ddba51b358926a4553fe1a53a4fb3bf21a285ebc384f5dc"),
+)
+
+
+@pytest.mark.parametrize("b, seed, aux_digest, labels_digest, strategic_digest, cover_digest",
+                         CLASS_DIGESTS, ids=[f"b={b}" for b, *_ in CLASS_DIGESTS])
+def test_golden_classes_n2000(b, seed, aux_digest, labels_digest, strategic_digest,
+                              cover_digest):
+    tree = _decoded_n2000(b, seed)
+    _, aux = codec.slither_encode(tree, Variant(b))
+    assert _sha256(repr(aux)) == aux_digest
+    labels = [trees.classify(tree, Variant(k)).labels() for k in (1, 2, 3)]
+    assert _sha256(repr(labels)) == labels_digest
+    assert _sha256(repr(trees.strategic_set(tree, 2).edges)) == strategic_digest
+    assert _sha256(repr(trees.path_cover_decomposition(tree))) == cover_digest

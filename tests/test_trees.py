@@ -18,6 +18,7 @@ from slithercode import (
     matching_number,
     max_capacity_edges,
     path_cover_decomposition,
+    slither_encode,
     strategic_set,
     validate_tree,
 )
@@ -162,6 +163,14 @@ def test_deep_path_is_iterative():
     assert len(path_cover_decomposition(t)) == 1
 
 
+@pytest.mark.parametrize("call", (classify, slither_encode), ids=("classify", "slither_encode"))
+def test_unvalidated_cycle_raises_tree_error(call):
+    # 2 and 3 are each other's parent, so neither is ever a leaf
+    t = RootedTree(n=4, root=1, parent={2: 3, 3: 2, 4: 1})
+    with pytest.raises(TreeError, match="did not reach every vertex"):
+        call(t)
+
+
 @given(trees)
 def test_alpha_mu_complement(t):
     assert independence_number(t) + matching_number(t) == t.n
@@ -173,13 +182,14 @@ def test_alpha_matches_brute_force(t):
     assert independence_number(t) == bf_max_independent(t)
 
 
-@given(trees)
-def test_p_child_counts_recount(t):
-    pm = classify(t, COMPLY)
+@pytest.mark.parametrize("b", range(1, 5))
+@given(t=trees)
+def test_p_child_counts_recount(t, b):
+    pm = classify(t, Variant(b))
     kids = t.children_lists()
     for v in range(1, t.n + 1):
         assert pm.p_child_count[v] == sum(1 for c in kids[v] if pm.is_p(c))
-        assert pm.is_p(v) == (pm.p_child_count[v] <= 1)
+        assert pm.is_p(v) == (pm.p_child_count[v] <= b - 1)
 
 
 # --- certificates -----------------------------------------------------------
