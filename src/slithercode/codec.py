@@ -10,9 +10,10 @@ the classical Prufer code is the code of the tree rooted at n less its
 last symbol, n.  Every sequence in [n]^(n-1) arises from exactly one tree,
 for every variant: uniform random sequences are uniform random trees.
 
-Decoding never looks at the variant's name, only its capacity b, and
-recovers classifications on the fly: a vertex's class is known once its
-whole subtree is restored, which happens before its own parent is needed.
+Encode and decode are the pruning scan trees._prune, which classify shares:
+a vertex's class is known once its whole subtree is deleted (or restored),
+which happens before its own parent is recorded (or read).  Decoding never
+looks at the variant's name, only its capacity b.
 
 The reading rules extract tree parameters from a code without decoding:
 independence and matching numbers, the root and full P-set, and the
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .trees import COMPLY, NORMAL, RootedTree, Variant, _strict_int, classify
+from .trees import COMPLY, NORMAL, RootedTree, Variant, _prune, _strict_int
 
 
 class CodeError(ValueError):
@@ -66,28 +67,6 @@ def _symbol_error(symbols) -> CodeError:
     return CodeError(f"symbols must be a sequence of integers, got {type(symbols).__name__}")
 
 
-def _prune(pending: list[int], steps: int, parent_of) -> None:
-    """Delete `steps` vertices, smallest ready first; v is ready at pending[v] == 0.
-
-    parent_of(v) records the deletion of v and returns its parent, whose
-    pending count drops by one.  Only that parent can become ready, and if
-    it lies below the scan pointer it is the smallest ready vertex, so a
-    forward pointer plus that one candidate replaces a heap.  Every code,
-    the classical Prufer code included, is built and read by this scan.
-    """
-    ptr = v = pending.index(0, 1)
-    for _ in range(steps):
-        p = parent_of(v)
-        pending[p] -= 1
-        if pending[p] == 0 and p < ptr:
-            v = p
-        else:
-            ptr += 1
-            while pending[ptr]:
-                ptr += 1
-            v = ptr
-
-
 def slither_encode(tree: RootedTree, variant: Variant = NORMAL):
     """Encode a rooted tree.  Returns (code, auxiliary).
 
@@ -97,17 +76,13 @@ def slither_encode(tree: RootedTree, variant: Variant = NORMAL):
     the non-root vertices.
     """
     n, parent = tree.n, tree.parent
-    is_p = classify(tree, variant).is_p
-    nchild = [0] * (n + 1)
-    for p in parent.values():
-        nchild[p] += 1
     code, aux = [0] * (n - 1), [0] * (n - 1)
     left, right = 0, n - 2
 
-    def parent_of(v):
+    def place(v, is_p):
         nonlocal left, right
         p = parent[v]
-        if is_p(v):
+        if is_p:
             code[left], aux[left] = p, v
             left += 1
         else:
@@ -115,7 +90,7 @@ def slither_encode(tree: RootedTree, variant: Variant = NORMAL):
             right -= 1
         return p
 
-    _prune(nchild, n - 1, parent_of)
+    _prune(n, parent.values(), variant.b, place)
     if left != right + 1:
         raise AssertionError("slot pointers did not meet")
     return SlitherCode(n=n, variant=variant, symbols=tuple(code)), tuple(aux)
@@ -130,26 +105,22 @@ def slither_decode(code: SlitherCode) -> RootedTree:
     parent is read from the left or the right end follows from the restored
     subtree's classification.
     """
-    n, b, sym = code.n, code.variant.b, code.symbols
-    pending, pdrawn = [0] * (n + 1), [0] * (n + 1)
-    for s in sym:
-        pending[s] += 1
+    n, sym = code.n, code.symbols
     parent: dict[int, int] = {}
     left, right = 0, n - 2
 
-    def parent_of(v):
+    def place(v, is_p):
         nonlocal left, right
-        if pdrawn[v] < b:
+        if is_p:
             p = sym[left]
             left += 1
-            pdrawn[p] += 1
         else:
             p = sym[right]
             right -= 1
         parent[v] = p
         return p
 
-    _prune(pending, n - 1, parent_of)
+    _prune(n, sym, code.variant.b, place)
     roots = [v for v in range(1, n + 1) if v not in parent]
     if len(roots) != 1:
         raise AssertionError("decode left more than one parentless vertex")
@@ -309,12 +280,15 @@ def read_capacity_edges(code: SlitherCode, b: int):
 
 def prufer_encode(n: int, edges) -> tuple[int, ...]:
     """Classical Prufer sequence of a labelled unrooted tree, length n-2."""
-    if n < 2:
-        return ()
+    if n < 1:
+        raise CodeError(f"n must be >= 1, got {n}")
     adj: list[list[int]] = [[] for _ in range(n + 1)]
     count = 0
     for u, v in edges:
-        u, v = int(u), int(v)
+        try:
+            u, v = _strict_int(u), _strict_int(v)
+        except ValueError:
+            raise CodeError(f"non-integer edge ({u!r}, {v!r})") from None
         if not (1 <= u <= n and 1 <= v <= n) or u == v:
             raise CodeError(f"bad edge ({u}, {v}) for n={n}")
         adj[u].append(v)

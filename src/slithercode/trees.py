@@ -13,11 +13,14 @@ and b>=3 the general capacity game.  Leaves are always P.  The P-set under
 b=1 is a maximum independent set, so |P| is the independence number and
 n-|P| the matching number; under b=2 the induced strategic edge set
 decomposes the tree into a minimum path cover.
+
+The rule is evaluated in one place, the pruning scan _prune behind classify
+and the codes' encode and decode: it deletes smallest-labelled leaves one
+by one, and classifies each vertex as it is deleted.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -95,13 +98,6 @@ class RootedTree:
         for c, p in self.parent.items():
             ch[p].append(c)
         return ch
-
-    def out_degree(self, v: int) -> int:
-        d = 0
-        for p in self.parent.values():
-            if p == v:
-                d += 1
-        return d
 
     def edges(self) -> list[tuple[int, int]]:
         """Edges as (child, parent) pairs, sorted by child."""
@@ -259,28 +255,46 @@ class PositionMap:
         return sum(b if c > b - 1 else c for c in self.p_child_count.values())
 
 
-def classify(tree: RootedTree, variant: Variant = NORMAL) -> PositionMap:
-    """Classify all vertices bottom-up.
+def _prune(n: int, parents, b: int, place) -> list[int]:
+    """Delete n-1 vertices, smallest ready first; return P-child counts by label.
 
-    Iterative over a breadth-first order so million-vertex path graphs do
-    not hit the recursion limit.
+    `parents` lists every non-root vertex's parent, in any order; a vertex
+    is ready once all its children are deleted, so its P-child count is
+    final and it is P iff the count is below b.  place(v, is_p) records the
+    deletion and returns v's parent.  Only that parent can become ready, and
+    if it lies below the scan pointer it is the smallest ready vertex, so a
+    forward pointer plus that one candidate replaces a heap.  A parent map
+    with a cycle raises TreeError.
     """
-    ch = tree.children_lists()
-    order = []
-    dq = deque([tree.root])
-    while dq:
-        v = dq.popleft()
-        order.append(v)
-        dq.extend(ch[v])
-    if len(order) != tree.n:
-        raise TreeError("tree walk did not reach every vertex")
+    pending, pcount = [0] * (n + 1), [0] * (n + 1)
+    try:
+        for p in parents:
+            pending[p] += 1
+        ptr = v = pending.index(0, 1)
+        for _ in range(n - 1):
+            is_p = pcount[v] < b
+            p = place(v, is_p)
+            if is_p:
+                pcount[p] += 1
+            pending[p] -= 1
+            if pending[p] == 0 and p < ptr:
+                v = p
+            else:
+                ptr += 1
+                while pending[ptr]:
+                    ptr += 1
+                v = ptr
+    except (LookupError, ValueError):  # the scan deleted the root, overran or never began
+        raise TreeError("pruning did not reach every vertex") from None
+    return pcount
 
-    b = variant.b
-    pcount = {v: 0 for v in range(1, tree.n + 1)}
-    for v in reversed(order):
-        if pcount[v] <= b - 1 and v != tree.root:
-            pcount[tree.parent[v]] += 1
-    return PositionMap(variant=variant, n=tree.n, p_child_count=pcount)
+
+def classify(tree: RootedTree, variant: Variant = NORMAL) -> PositionMap:
+    """Classify all vertices bottom-up, by the codes' pruning scan (no recursion)."""
+    parent, n = tree.parent, tree.n
+    pcount = _prune(n, parent.values(), variant.b, lambda v, is_p: parent[v])
+    return PositionMap(variant=variant, n=n,
+                       p_child_count=dict(zip(range(1, n + 1), pcount[1:])))
 
 
 def independence_number(tree: RootedTree) -> int:
@@ -334,20 +348,21 @@ def strategic_set(tree: RootedTree, b: int) -> StrategicSet:
     """Concrete optimal edge set for the degree-<=b problem.
 
     Each N-vertex takes edges to its b smallest-labelled P-children, each
-    P-vertex an edge to every P-child.  N-vertices never receive an edge
-    from above, giving them degree exactly b; P-vertices get at most one
-    from above and b-1 at most from below.
+    P-vertex an edge to every P-child (it has fewer than b).  N-vertices
+    never receive an edge from above, giving them degree exactly b;
+    P-vertices get at most one from above and b-1 at most from below.
+    Edges are sorted by parent, then child.
     """
     if b < 1:
         raise ValueError(f"capacity must be >= 1, got {b}")
-    pm = classify(tree, Variant(b))
-    ch = tree.children_lists()
-    edges = []
-    for v in range(1, tree.n + 1):
-        pkids = sorted(c for c in ch[v] if pm.is_p(c))
-        take = pkids if pm.is_p(v) else pkids[:b]
-        edges.extend((v, c) for c in take)
-    return StrategicSet(b=b, edges=tuple(edges))
+    n, root, parent = tree.n, tree.root, tree.parent
+    pcount = classify(tree, Variant(b)).p_child_count
+    pkids: list[list[int]] = [[] for _ in range(n + 1)]
+    for c in range(1, n + 1):  # ascending, so each list comes out sorted
+        if c != root and pcount[c] < b:
+            pkids[parent[c]].append(c)
+    edges = tuple((v, c) for v in range(1, n + 1) for c in pkids[v][:b])
+    return StrategicSet(b=b, edges=edges)
 
 
 def path_cover_decomposition(tree: RootedTree) -> list[list[int]]:
@@ -358,34 +373,39 @@ def path_cover_decomposition(tree: RootedTree) -> list[list[int]]:
     of paths is n - max_capacity_edges(tree, 2), which is minimum possible.
     Paths are returned oriented from their smaller-labelled endpoint and
     sorted by smallest contained vertex.
-    """
-    adj: dict[int, list[int]] = {v: [] for v in range(1, tree.n + 1)}
-    for u, v in strategic_set(tree, 2).edges:
-        adj[u].append(v)
-        adj[v].append(u)
 
-    seen = set()
+    Each path hangs from its top: an N-vertex with two down links, or a
+    P-vertex with no up link; below it every vertex has one down link at most.
+    """
+    n = tree.n
+    up, first, second = [0] * (n + 1), [0] * (n + 1), [0] * (n + 1)
+    for v, c in strategic_set(tree, 2).edges:
+        up[c] = v
+        if first[v]:
+            second[v] = c
+        else:
+            first[v] = c
+
+    seen = [False] * (n + 1)
     paths = []
-    for v in range(1, tree.n + 1):
-        if v in seen or len(adj[v]) > 1:
+    for v in range(1, n + 1):
+        if seen[v]:
             continue
-        # v is an endpoint (degree 0 or 1); walk to the other end
-        path = [v]
-        seen.add(v)
-        prev, cur = None, v
-        while True:
-            nxt = [w for w in adj[cur] if w != prev]
-            if not nxt:
-                break
-            prev, cur = cur, nxt[0]
-            path.append(cur)
-            seen.add(cur)
+        # v is the smallest vertex of its path, so paths come out by minimum
+        top = v
+        while up[top]:
+            top = up[top]
+        halves = [[], []]
+        for half, c in zip(halves, (first[top], second[top])):
+            while c:
+                half.append(c)
+                c = first[c]
+        path = halves[0][::-1] + [top] + halves[1]
         if path[0] > path[-1]:
             path.reverse()
+        for w in path:
+            seen[w] = True
         paths.append(path)
-    if len(seen) != tree.n:
-        raise AssertionError("strategic set contained a cycle")
-    paths.sort(key=min)
     return paths
 
 

@@ -152,8 +152,9 @@ def test_encode_matches_the_definition(n, seed, b):
 @given(codes(max_n=32))
 def test_occurrences_are_out_degrees(code):
     t = slither_decode(code)
+    kids = t.children_lists()
     for v in range(1, code.n + 1):
-        assert code.symbols.count(v) == t.out_degree(v)
+        assert code.symbols.count(v) == len(kids[v])
 
 
 # --- reading rules ----------------------------------------------------------
@@ -252,8 +253,12 @@ def test_prufer_two_vertices():
         lambda: prufer_encode(3, [(1, 2), (1, 2)]),  # repeated edge, vertex 3 isolated
         lambda: prufer_encode(4, [(1, 2), (2, 3), (3, 1)]),  # cycle, vertex 4 isolated
         lambda: prufer_decode((1.9,)),
+        lambda: prufer_encode(3, [(1.5, 2), (2, 3)]),
+        lambda: prufer_encode(1, [(5, 6)]),  # an edge, and out of range, for one vertex
+        lambda: prufer_encode(0, []),
     ),
-    ids=("repeated-edge", "cycle", "float-symbol"),
+    ids=("repeated-edge", "cycle", "float-symbol", "float-endpoint", "one-vertex-edge",
+         "zero-vertices"),
 )
 def test_prufer_rejects(call):
     with pytest.raises(CodeError):
