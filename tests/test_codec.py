@@ -4,7 +4,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from slithercode import (
     COMPLY,
@@ -220,11 +220,35 @@ def test_reads_enforce_their_variant(call, code_variant, fragment):
         call(code)
 
 
-@given(st.integers(2, 200), st.integers(0, 2**32 - 1))
-def test_prefix_alpha_numpy_path_matches_loop(n, seed):
+def _read_or_error(symbols, n):
+    try:
+        return prefix_alpha(symbols, n)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+# Symbol ranges: dice throws 1..n, plane labels 0..n-1, integers outside
+# 0..n, and floats (integral and halves).  size None is a full deal of n - 1.
+@given(st.integers(2, 200), st.sampled_from(("dice", "plane", "outside", "float")),
+       st.sampled_from((None, 64, 100)), st.integers(0, 2**32 - 1))
+@example(n=200, style="dice", size=64, seed=0)
+@example(n=200, style="plane", size=100, seed=1)
+def test_prefix_alpha_numpy_path_matches_loop(n, style, size, seed):
     rng = np.random.default_rng(seed)
-    arr = rng.integers(1, n + 1, size=n - 1)
-    assert prefix_alpha(arr, n) == prefix_alpha(list(arr), n)
+    lo, hi = {"dice": (1, n), "plane": (0, n - 1), "outside": (-2, n + 2),
+              "float": (1, n)}[style]
+    arr = rng.integers(lo, hi + 1, size=n - 1 if size is None else size)
+    if style == "float":
+        arr = arr / rng.choice((1, 2), size=arr.shape[0])
+    assert _read_or_error(arr, n) == _read_or_error(list(arr), n)
+
+
+def test_prefix_alpha_numpy_path_exhausted():
+    # 64 and more symbols, too few distinct ones: both paths run out
+    for arr in (np.arange(1, 65), np.zeros(100, dtype=np.int64), np.full(80, 7.0)):
+        for seq in (arr, list(arr)):
+            with pytest.raises(ValueError, match="exhausted"):
+                prefix_alpha(seq, 200)
 
 
 def test_prefix_alpha_exhausted():

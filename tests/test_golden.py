@@ -320,3 +320,24 @@ def test_golden_classes_n2000(b, seed, aux_digest, labels_digest, strategic_dige
     assert _sha256(repr(labels)) == labels_digest
     assert _sha256(repr(trees.strategic_set(tree, 2).edges)) == strategic_digest
     assert _sha256(repr(trees.path_cover_decomposition(tree))) == cover_digest
+
+
+# The same three trees: sha256 of the stdout of `params <tree text>` in the
+# default text format and with --format json.
+PARAMS_DIGESTS = (
+    (1, 2001, "3c5fec1be542e55283ac57184b9769397d48176ab29ca4d179f914bd77ec64e9",
+     "246d51bd013a29d422fb56d6e9486f5984ccaa2faa8cfc02e3bc4bae411fe47c"),
+    (2, 2002, "3363c44cdba8f74e9e38b7b0f399e3e5a42368ceb2dea70f47a9d7f7ac799a00",
+     "10ab8e72f7dd272f6356b706db7be5f37f265f5955421f9cb7a83e3f8758ea3d"),
+    (3, 2003, "ec995cb40c954c155a0c0dc7874a830fbce8161b5a49ec8a390b110b987e7165",
+     "5959f94f8872eb12e165dffe67491e5bcd6543b73c6a0f1026b516352dc71d14"),
+)
+
+
+@pytest.mark.parametrize("b, seed, text_digest, json_digest", PARAMS_DIGESTS,
+                         ids=[f"b={b}" for b, *_ in PARAMS_DIGESTS])
+def test_golden_params_n2000(capsys, b, seed, text_digest, json_digest):
+    tree_text = cli.tree_to_text(_decoded_n2000(b, seed))
+    for fmt, digest in (("text", text_digest), ("json", json_digest)):
+        assert cli.main(["params", tree_text, "--format", fmt]) == 0
+        assert _sha256(capsys.readouterr().out) == digest
