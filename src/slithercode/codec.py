@@ -144,16 +144,22 @@ def prefix_alpha(symbols, n: int) -> int:
     This is both the independence-number read on a normal code and the
     stopping rule of the family card games, which share this implementation
     on purpose.  Symbols may be any hashables; only distinctness matters.
-    Raises if the sequence ends before the threshold is met.
+    A long integer array with values in 0..n is read without sorting: a
+    scatter keeps each value's first position, and those positions are where
+    the distinct count grows.  Raises if the sequence ends before the
+    threshold is met.
     """
     if n <= 1:
         return 1
-    if isinstance(symbols, np.ndarray) and symbols.shape[0] >= 64:
-        _, first = np.unique(symbols, return_index=True)
-        new = np.zeros(symbols.shape[0], dtype=np.int64)
+    if (isinstance(symbols, np.ndarray) and symbols.ndim == 1 and symbols.shape[0] >= 64
+            and symbols.dtype.kind in "iu" and 0 <= symbols.min() and symbols.max() <= n):
+        m = symbols.shape[0]
+        first = np.full(n + 1, m)  # m: the value does not occur
+        np.minimum.at(first, symbols, np.arange(m))
+        new = np.zeros(m + 1, dtype=np.int64)
         new[first] = 1
-        distinct = np.cumsum(new)
-        hit = distinct >= n - np.arange(1, symbols.shape[0] + 1)
+        distinct = np.cumsum(new[:m])
+        hit = distinct >= n - np.arange(1, m + 1)
         a = int(np.argmax(hit))
         if not hit[a]:
             raise ValueError("sequence exhausted before the distinct-count threshold")
