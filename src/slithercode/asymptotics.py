@@ -144,6 +144,7 @@ def clt_check(n: int, trials: int, seed: int, threads: int | None = None) -> Clt
     CDFs are evaluated at cell boundaries v + 1/2.  Comparing against the
     continuous CDF directly would report the half-cell discretization
     artifact, about phi(0)/(2*sigma*sqrt(n)), swamping any real deviation.
+    threads accepts only None or 1, as in run_trials.
     """
     if n < 100:
         raise ValueError(f"clt check needs n >= 100, got {n}")

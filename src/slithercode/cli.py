@@ -140,15 +140,10 @@ def resolve_seed(seed: int | None) -> int:
 
 
 def resolve_threads(flag: int | None) -> int:
-    if flag is not None:
-        return flag
-    env = os.environ.get("SLITHER_THREADS")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValueError(f"SLITHER_THREADS must be an integer, got {env!r}") from None
-    return os.cpu_count() or 1
+    """The --threads value; trials run on one thread, so it can only be 1."""
+    if flag not in (None, 1):
+        raise ValueError(f"--threads accepts only 1, trials run on one thread; got {flag}")
+    return 1
 
 
 # --- subcommands ------------------------------------------------------------
@@ -191,10 +186,7 @@ def cmd_params(args) -> int:
         "path_cover": tree.n - path_edges,
         "b": b,
         "capacity_edges": trees.max_capacity_edges(tree, b),
-        "classification": {
-            "normal": {str(v): lab for v, lab in pm_normal.labels().items()},
-            "comply": {str(v): lab for v, lab in pm_comply.labels().items()},
-        },
+        "classification": {"normal": pm_normal.labels(), "comply": pm_comply.labels()},
     }
     if args.format == "json":
         emit_json(out)
@@ -262,8 +254,8 @@ def cmd_sample(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    resolve_threads(args.threads)
     seed = resolve_seed(args.seed)
-    threads = resolve_threads(args.threads)
     game = args.game
     if game == "cards":
         if args.deck is None:
@@ -287,8 +279,7 @@ def cmd_simulate(args) -> int:
             trial = lambda rng: games.binary_lr_trial(n, rng)
         else:
             trial = lambda rng: games.plane_trial(n, rng)
-    hist = games.run_trials(trial, args.trials, seed, n=n, parameter="alpha",
-                            threads=threads)
+    hist = games.run_trials(trial, args.trials, seed, n=n, parameter="alpha")
     if args.format == "json":
         emit_json(hist.to_json_dict())
     else:
@@ -313,7 +304,15 @@ def _emit_table(table: counting.DistributionTable, fmt: str) -> None:
         print(f"{v} {c} {c / total:.9g}")
 
 
+# Bounds both closed-form tables.  The unrooted one memoizes the Stirling
+# triangle up to n: about 230 MB at n = 1000 and 1.7 GB at n = 2000.
+_CLOSED_FORM_MAX_N = 1000
+
+
 def cmd_enumerate(args) -> int:
+    if args.parameter is None and args.n > _CLOSED_FORM_MAX_N:
+        raise ValueError(f"closed-form tables are bounded at --n {_CLOSED_FORM_MAX_N}, "
+                         f"got {args.n}")
     if args.family == "full-binary":
         if args.parameter is not None:
             raise ValueError("full-binary enumeration is the deck-read table; "
@@ -341,8 +340,7 @@ def cmd_constants(args) -> int:
 
 def cmd_clt(args) -> int:
     seed = resolve_seed(args.seed)
-    rep = asymptotics.clt_check(args.n, args.trials, seed,
-                                threads=resolve_threads(args.threads))
+    rep = asymptotics.clt_check(args.n, args.trials, seed)
     if args.format == "json":
         emit_json(rep.to_json_dict())
     else:
@@ -609,7 +607,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--deck", type=str, default=None,
                    help="cards game: n multiplicities summing to n-1, e.g. '2 2 0 0 0 0 0'")
     p.add_argument("--threads", type=int, default=None,
-                   help="worker threads (default SLITHER_THREADS or cpu count)")
+                   help="trials run on one thread; only 1 is accepted, kept for old scripts")
     fmt(p)
     p.set_defaults(func=cmd_simulate)
 
@@ -633,7 +631,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=2000)
     p.add_argument("--trials", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--threads", type=int, default=None)
     fmt(p)
     p.set_defaults(func=cmd_clt)
 

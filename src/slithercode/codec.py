@@ -151,7 +151,7 @@ def prefix_alpha(symbols, n: int) -> int:
     """
     if n <= 1:
         return 1
-    if (isinstance(symbols, np.ndarray) and symbols.ndim == 1 and symbols.shape[0] >= 64
+    if (isinstance(symbols, np.ndarray) and symbols.shape[0] >= 64
             and symbols.dtype.kind in "iu" and 0 <= symbols.min() and symbols.max() <= n):
         m = symbols.shape[0]
         first = np.full(n + 1, m)  # m: the value does not occur

@@ -10,15 +10,16 @@ and plane trees.
 
 Reproducibility contract: a trial is a pure function of (master seed,
 trial index).  Each index gets its own PCG64 stream derived through a
-splitmix64 mix, so histograms are identical for any thread count and can
-be merged across runs in any order.
+splitmix64 mix, so the histograms of disjoint index ranges merge, in any
+order, into the histogram of their union.  Trials run on one thread: a
+trial holds the interpreter lock for most of its time, and a thread pool
+ran slower than the serial loop.
 """
 
 from __future__ import annotations
 
 import secrets
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -251,30 +252,17 @@ class TrialHistogram:
 
 def run_trials(trial, trials: int, seed: int, *, n: int, parameter: str,
                threads: int | None = None) -> TrialHistogram:
-    """Tally trial(rng) over independent per-index generators.
+    """Tally trial(rng) over trial indices 0..trials-1, one generator per index.
 
-    threads splits the index range into contiguous chunks; results do not
-    depend on the split.
+    Trials run serially; threads is kept for old callers and accepts only
+    None or 1.
     """
+    if threads not in (None, 1):
+        raise ValueError(f"threads must be 1, trials run on one thread; got {threads}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     source = RandomSource(seed)
-
-    def chunk(lo: int, hi: int) -> Counter:
-        c: Counter = Counter()
-        for i in range(lo, hi):
-            c[trial(source.trial_rng(i))] += 1
-        return c
-
-    if not threads or threads <= 1 or trials < 2 * threads:
-        counts = chunk(0, trials)
-    else:
-        bounds = [trials * k // threads for k in range(threads + 1)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(chunk, bounds[:-1], bounds[1:]))
-        counts = Counter()
-        for p in parts:
-            counts.update(p)
+    counts = Counter(trial(source.trial_rng(i)) for i in range(trials))
     return TrialHistogram(parameter=parameter, n=n, trials=trials, seed=seed,
                           counts=dict(sorted(counts.items())))
 

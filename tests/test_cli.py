@@ -2,8 +2,11 @@
 
 import io
 import json
+import os
 import subprocess
 import sys
+import threading
+from pathlib import Path
 
 import pytest
 
@@ -174,16 +177,6 @@ def test_simulate_echoes_drawn_seed(capsys):
     assert err.startswith("seed: ")
 
 
-def test_simulate_thread_env_fallback(capsys, monkeypatch):
-    argv = ("simulate", "--game", "plane", "--n", "30", "--trials", "400",
-            "--seed", "8", "--format", "json")
-    rc1, out1, _ = run_cli(capsys, *argv, "--threads", "1")
-    monkeypatch.setenv("SLITHER_THREADS", "3")
-    rc2, out2, _ = run_cli(capsys, *argv)
-    assert rc1 == rc2 == 0
-    assert json.loads(out1)["counts"] == json.loads(out2)["counts"]
-
-
 def test_simulate_cards(capsys):
     rc, out, _ = run_cli(capsys, "simulate", "--game", "cards", "--deck", "3 1 0 0 0",
                          "--trials", "300", "--seed", "2", "--threads", "1",
@@ -200,11 +193,36 @@ def test_simulate_cards(capsys):
           "--trials", "10"), "disagrees with deck"),
         (("simulate", "--game", "dice", "--trials", "10"), "--n is required"),
         (("simulate", "--game", "full-binary", "--n", "6", "--trials", "10"), "odd n"),
+        (("simulate", "--game", "dice", "--n", "6", "--trials", "10", "--threads", "2"),
+         "--threads"),
+        (("simulate", "--game", "dice", "--n", "6", "--trials", "10", "--threads", "0"),
+         "--threads"),
     ),
 )
 def test_simulate_rejects(capsys, argv, fragment):
     rc, _, err = run_cli(capsys, *argv, "--seed", "1")
     assert rc == 2 and fragment in err
+
+
+def test_simulate_threads_flag_starts_no_thread(capsys, monkeypatch):
+    def refuse(self):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    argv = ("simulate", "--game", "dice", "--n", "200", "--trials", "100", "--seed", "3")
+    rc, default, _ = run_cli(capsys, *argv)
+    assert rc == 0
+    assert run_cli(capsys, *argv, "--threads", "1") == (0, default, "")
+    for bad in ("2", "0", "-1"):
+        rc, out, err = run_cli(capsys, *argv, "--threads", bad)
+        assert (rc, out) == (2, "") and "--threads" in err
+
+
+def test_clt_has_no_threads_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["clt", "--n", "100", "--trials", "10000", "--threads", "1"])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
 
 
 # --- enumeration, constants, clt --------------------------------------------
@@ -241,11 +259,17 @@ def test_enumerate_parameter_sweep(capsys):
         ("enumerate", "--n", "0"),
         ("enumerate", "--n", "-3"),
         ("enumerate", "--n", "1", "--family", "full-binary"),
+        # the closed forms are bounded at n = 1000
+        ("enumerate", "--n", "1001"),
+        ("enumerate", "--n", "1001", "--family", "full-binary"),
+        ("enumerate", "--n", "100000", "--format", "json"),
     ),
 )
 def test_enumerate_rejects(capsys, argv):
     rc, _, err = run_cli(capsys, *argv)
     assert rc == 2 and err.startswith("error: ")
+    if int(argv[2]) > 1000:
+        assert "bounded at --n 1000" in err
 
 
 def test_constants_output(capsys):
@@ -332,3 +356,12 @@ def test_module_entry_point_subprocess():
         capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "10 9"
+
+
+def test_import_loads_no_concurrency_machinery():
+    # trials run on one thread; the package and its CLI need no executor
+    src = Path(__file__).resolve().parent.parent / "src"
+    probe = "import sys, slithercode, slithercode.cli; print('concurrent.futures' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr

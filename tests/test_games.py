@@ -58,11 +58,27 @@ def test_run_trials_is_seed_deterministic():
     assert mk() == mk()
 
 
-def test_run_trials_thread_count_does_not_change_the_tally():
-    kw = dict(n=8, parameter="alpha")
-    h1 = run_trials(lambda rng: dice_trial(8, rng), 500, 9, threads=1, **kw)
-    h4 = run_trials(lambda rng: dice_trial(8, rng), 500, 9, threads=4, **kw)
-    assert h1.counts == h4.counts
+@pytest.mark.parametrize("k", (0, 117, 300))
+def test_run_trials_merges_index_ranges(k):
+    # trial i is a pure function of (seed, i): tallies of [0, k) and [k, N)
+    # made by hand merge into the run over [0, N)
+    trial = lambda rng: dice_trial(200, rng)
+    source = RandomSource(9)
+    kw = dict(parameter="alpha", n=200, seed=9)
+    parts = [TrialHistogram(trials=hi - lo, counts=dict(Counter(
+        trial(source.trial_rng(i)) for i in range(lo, hi))), **kw)
+        for lo, hi in ((0, k), (k, 300))]
+    merged = parts[0].merge(parts[1])
+    assert merged == run_trials(trial, 300, 9, n=200, parameter="alpha")
+
+
+@pytest.mark.parametrize("threads", (2, 0, 4))
+def test_run_trials_runs_on_one_thread(threads):
+    trial = lambda rng: dice_trial(8, rng)
+    assert run_trials(trial, 50, 9, n=8, parameter="alpha", threads=1) == \
+        run_trials(trial, 50, 9, n=8, parameter="alpha")
+    with pytest.raises(ValueError, match="threads must be 1"):
+        run_trials(trial, 50, 9, n=8, parameter="alpha", threads=threads)
 
 
 # --- the games --------------------------------------------------------------

@@ -1,9 +1,8 @@
 """Golden outputs: pinned-seed CLI runs recorded as literals.
 
-Every family's deal, every exhaustive sweep parameter and both thread
-counts are pinned byte for byte, so a refactor of the dealing, reading or
-counting code that changes what a user sees fails here first.  The sizes
-are small (n <= 200, 300 trials) and the whole module runs in well under a
+Every family's deal and every exhaustive sweep parameter are pinned byte
+for byte, so a refactor of the dealing, reading or counting code that
+changes what a user sees fails here first.  The sizes are small (n <= 200, 300 trials) and the whole module runs in well under a
 second.
 
 The codec digests pin decode and encode at n = 2000, well past the
@@ -21,25 +20,6 @@ from slithercode.trees import Variant
 
 GOLDEN = (
     ('simulate --game dice --n 200 --trials 300 --seed 11 --threads 1',
-     """\
-# game dice
-# n 200
-# parameter alpha
-# trials 300
-# seed 11
-109 7
-110 18
-111 28
-112 47
-113 59
-114 47
-115 44
-116 23
-117 11
-118 13
-119 3
-"""),
-    ('simulate --game dice --n 200 --trials 300 --seed 11 --threads 2',
      """\
 # game dice
 # n 200
