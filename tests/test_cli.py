@@ -213,9 +213,8 @@ def test_simulate_threads_flag_starts_no_thread(capsys, monkeypatch):
     rc, default, _ = run_cli(capsys, *argv)
     assert rc == 0
     assert run_cli(capsys, *argv, "--threads", "1") == (0, default, "")
-    for bad in ("2", "0", "-1"):
-        rc, out, err = run_cli(capsys, *argv, "--threads", bad)
-        assert (rc, out) == (2, "") and "--threads" in err
+    rc, out, err = run_cli(capsys, *argv, "--threads", "2")
+    assert (rc, out) == (2, "") and "--threads" in err
 
 
 def test_clt_has_no_threads_flag(capsys):

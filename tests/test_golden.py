@@ -2,10 +2,10 @@
 
 Every family's deal and every exhaustive sweep parameter are pinned byte
 for byte, so a refactor of the dealing, reading or counting code that
-changes what a user sees fails here first.  The sizes are small (n <= 200, 300 trials) and the whole module runs in well under a
-second.
+changes what a user sees fails here first.  The sizes are small (n <= 200,
+300 trials).
 
-The codec digests pin decode and encode at n = 2000, well past the
+The digests pin decode, encode and params output at n = 2000, well past the
 exhaustive sweeps (n <= 7), where many parents become ready behind the
 pruning scan's pointer.
 """
