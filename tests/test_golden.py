@@ -3,7 +3,8 @@
 Every family's deal and every exhaustive sweep parameter are pinned byte
 for byte, so a refactor of the dealing, reading or counting code that
 changes what a user sees fails here first.  The sizes are small (n <= 200,
-300 trials).
+300 trials); the sweeps are pinned at n = 5, 6 and 7, that is 625, 7776 and
+117,649 codes.
 
 The digests pin decode, encode and params output at n = 2000, well past the
 exhaustive sweeps (n <= 7), where many parents become ready behind the
@@ -230,6 +231,80 @@ GOLDEN = (
 # total 625
 3 25 0.04
 4 600 0.96
+"""),
+    ('enumerate --parameter independence --n 6',
+     """\
+# family uniform-rooted
+# parameter independence
+# n 6
+# total 7776
+3 4320 0.555555556
+4 3420 0.439814815
+5 36 0.00462962963
+"""),
+    ('enumerate --parameter matching --n 6',
+     """\
+# family uniform-rooted
+# parameter matching
+# n 6
+# total 7776
+1 36 0.00462962963
+2 3420 0.439814815
+3 4320 0.555555556
+"""),
+    ('enumerate --parameter path-edges --n 6',
+     """\
+# family uniform-rooted
+# parameter path_edges
+# n 6
+# total 7776
+2 36 0.00462962963
+3 720 0.0925925926
+4 4860 0.625
+5 2160 0.277777778
+"""),
+    ('enumerate --parameter path-cover --n 6',
+     """\
+# family uniform-rooted
+# parameter path_cover
+# n 6
+# total 7776
+1 2160 0.277777778
+2 4860 0.625
+3 720 0.0925925926
+4 36 0.00462962963
+"""),
+    ('enumerate --parameter capacity-edges --b 3 --n 6',
+     """\
+# family uniform-rooted
+# parameter capacity_edges
+# n 6
+# total 7776
+3 36 0.00462962963
+4 720 0.0925925926
+5 7020 0.902777778
+"""),
+    ('enumerate --parameter independence --n 7',
+     """\
+# family uniform-rooted
+# parameter independence
+# n 7
+# total 117649
+4 102900 0.874635569
+5 14700 0.124947938
+6 49 0.000416493128
+"""),
+    ('enumerate --parameter path-cover --n 7',
+     """\
+# family uniform-rooted
+# parameter path_cover
+# n 7
+# total 117649
+1 17640 0.149937526
+2 76440 0.649729279
+3 22050 0.187421908
+4 1470 0.0124947938
+5 49 0.000416493128
 """),
 )
 
