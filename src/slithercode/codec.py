@@ -45,16 +45,19 @@ class SlitherCode:
     def __post_init__(self):
         if self.n < 1:
             raise CodeError(f"n must be >= 1, got {self.n}")
-        try:
-            sym = tuple(map(_strict_int, self.symbols))
-        except ValueError:
-            raise _symbol_error(self.symbols) from None
+        # checked in bulk, and symbol by symbol only to convert or to name a defect
+        sym = tuple(self.symbols)
+        if set(map(type, sym)) - {int}:
+            try:
+                sym = tuple(map(_strict_int, sym))
+            except ValueError:
+                raise _symbol_error(self.symbols) from None
         object.__setattr__(self, "symbols", sym)
         if len(sym) != self.n - 1:
             raise CodeError(f"expected {self.n - 1} symbols for n={self.n}, got {len(sym)}")
-        for s in sym:
-            if not (1 <= s <= self.n):
-                raise CodeError(f"symbol {s} out of range 1..{self.n}")
+        if sym and (min(sym) < 1 or max(sym) > self.n):
+            s = next(s for s in sym if not 1 <= s <= self.n)
+            raise CodeError(f"symbol {s} out of range 1..{self.n}")
 
 
 def _symbol_error(symbols) -> CodeError:

@@ -376,15 +376,19 @@ def path_cover_decomposition(tree: RootedTree) -> list[list[int]]:
 
     Each path hangs from its top: an N-vertex with two down links, or a
     P-vertex with no up link; below it every vertex has one down link at most.
+    The links are the strategic set's edges, read straight off the P-child
+    counts: every vertex links down to its two smallest P-children.
     """
-    n = tree.n
+    n, root, parent = tree.n, tree.root, tree.parent
+    pcount = classify(tree, COMPLY).p_child_count
     up, first, second = [0] * (n + 1), [0] * (n + 1), [0] * (n + 1)
-    for v, c in strategic_set(tree, 2).edges:
-        up[c] = v
-        if first[v]:
-            second[v] = c
-        else:
-            first[v] = c
+    for c in range(1, n + 1):  # ascending, so first[v] < second[v]
+        if c != root and pcount[c] < 2:
+            v = parent[c]
+            if not first[v]:
+                first[v], up[c] = c, v
+            elif not second[v]:
+                second[v], up[c] = c, v
 
     seen = [False] * (n + 1)
     paths = []

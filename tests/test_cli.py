@@ -358,9 +358,10 @@ def test_module_entry_point_subprocess():
 
 
 def test_import_loads_no_concurrency_machinery():
-    # trials run on one thread; the package and its CLI need no executor
+    # trials run on one thread, and only a sweep loads multiprocessing, when it forks
     src = Path(__file__).resolve().parent.parent / "src"
-    probe = "import sys, slithercode, slithercode.cli; print('concurrent.futures' in sys.modules)"
+    probe = ("import sys, slithercode, slithercode.cli; "
+             "print('concurrent.futures' in sys.modules, 'multiprocessing' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
-    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
+    assert (proc.returncode, proc.stdout) == (0, "False False\n"), proc.stderr
