@@ -4,7 +4,8 @@ Every family's deal and every exhaustive sweep parameter are pinned byte
 for byte, so a refactor of the dealing, reading or counting code that
 changes what a user sees fails here first.  The sizes are small (n <= 200,
 300 trials); the sweeps are pinned at n = 5, 6 and 7, that is 625, 7776 and
-117,649 codes.
+117,649 codes.  `verify --level quick`, the limit constants and a small
+`clt` run (n = 100, 10,000 trials) are pinned too.
 
 The digests pin decode, encode and params output at n = 2000, well past the
 exhaustive sweeps (n <= 7), where many parents become ready behind the
@@ -305,6 +306,72 @@ GOLDEN = (
 3 22050 0.187421908
 4 1470 0.0124947938
 5 49 0.000416493128
+"""),
+    ('verify --level quick',
+     """\
+PASS worked-example: 10-vertex reference tree, both variants
+PASS bijection-sweep: all codes, b in 1..3, n <= 4
+PASS reading-rules: alpha, root, p-set, matching, capacity reads, n <= 5
+PASS counting-formulas: closed forms vs exhaustive (n <= 5), totals to n=40
+PASS full-binary-decks: exhaustive deals m <= 3, totals to m=8
+PASS capacity-oracle: exhaustive n <= 5 plus 300 random trees, b in 1..3
+PASS constants: fixed points vs closed forms
+PASS sampling-statistics: skipped at quick level
+8/8 checks passed (quick level)
+"""),
+    ('constants',
+     """\
+rho                         0.567143290409784
+sigma2                      0.025680322293649
+full_binary_mean            0.585786437626905
+full_binary_variance_coeff  0.0147186257614297
+binary_lr_mean              0.535898384862245
+plane_mean                  0.618033988749895
+t0                          0.806465994236327
+path_cover_coeff            0.252898972664606
+"""),
+    ('constants --format json',
+     """\
+{
+  "rho": "0.567143290409784",
+  "sigma2": "0.025680322293649",
+  "full_binary_mean": "0.585786437626905",
+  "full_binary_variance_coeff": "0.0147186257614297",
+  "binary_lr_mean": "0.535898384862245",
+  "plane_mean": "0.618033988749895",
+  "t0": "0.806465994236327",
+  "path_cover_coeff": "0.252898972664606"
+}
+"""),
+    ('clt --n 100 --trials 10000 --seed 3',
+     """\
+n: 100
+trials: 10000
+seed: 3
+mean: 56.8204
+variance: 2.6163438400000003
+mean_over_n: 0.568204
+variance_over_n: 0.026163438400000003
+rho: 0.5671432904097838
+sigma2: 0.02568032229364897
+ks_distance: 0.018001716594222783
+ks_fitted: 0.012187376253446125
+"""),
+    ('clt --n 100 --trials 10000 --seed 3 --format json',
+     """\
+{
+  "n": 100,
+  "trials": 10000,
+  "seed": 3,
+  "mean": 56.8204,
+  "variance": 2.6163438400000003,
+  "mean_over_n": 0.568204,
+  "variance_over_n": 0.026163438400000003,
+  "rho": 0.5671432904097838,
+  "sigma2": 0.02568032229364897,
+  "ks_distance": 0.018001716594222783,
+  "ks_fitted": 0.012187376253446125
+}
 """),
 )
 
