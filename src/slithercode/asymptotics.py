@@ -12,7 +12,7 @@ exist (2 - sqrt(2), 4 - 2*sqrt(3), (sqrt(5)-1)/2, 17/2 - 6*sqrt(2)).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 from .games import dice_trial, run_trials
 
@@ -75,9 +75,7 @@ class ConstantsReport:
     path_cover_coeff: float
 
     def to_json_dict(self) -> dict:
-        return {name: f"{getattr(self, name):.15g}" for name in (
-            "rho", "sigma2", "full_binary_mean", "full_binary_variance_coeff",
-            "binary_lr_mean", "plane_mean", "t0", "path_cover_coeff")}
+        return {f.name: f"{getattr(self, f.name):.15g}" for f in fields(self)}
 
 
 def constants() -> ConstantsReport:
@@ -127,13 +125,7 @@ class CltReport:
     ks_fitted: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n, "trials": self.trials, "seed": self.seed,
-            "mean": self.mean, "variance": self.variance,
-            "mean_over_n": self.mean_over_n, "variance_over_n": self.variance_over_n,
-            "rho": self.rho, "sigma2": self.sigma2, "ks_distance": self.ks_distance,
-            "ks_fitted": self.ks_fitted,
-        }
+        return asdict(self)
 
 
 def clt_check(n: int, trials: int, seed: int, threads: int | None = None) -> CltReport:

@@ -19,12 +19,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
-from itertools import permutations
 
-from . import asymptotics, codec, counting, games, trees
+from . import asymptotics, codec, counting, games, trees, verify
 from .codec import CodeError, SlitherCode
 from .trees import NORMAL, TreeError, Variant, _strict_int, validate_tree
 
@@ -226,7 +224,17 @@ def cmd_read(args) -> int:
     return 0
 
 
+# Bounds --n of sample, simulate and clt; a decode holds about 240 B per vertex.
+_SAMPLE_MAX_N = 10**6
+
+
+def _check_n(n: int | None) -> None:
+    if n is not None and n > _SAMPLE_MAX_N:
+        raise ValueError(f"--n is bounded at {_SAMPLE_MAX_N}, got {n}")
+
+
 def cmd_sample(args) -> int:
+    _check_n(args.n)
     if args.count < 1:
         raise ValueError(f"--count must be >= 1, got {args.count}")
     seed = resolve_seed(args.seed)
@@ -254,14 +262,18 @@ def cmd_sample(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    _check_n(args.n)
     resolve_threads(args.threads)
     seed = resolve_seed(args.seed)
     game = args.game
     if game == "cards":
         if args.deck is None:
             raise ValueError("--deck is required for the cards game")
-        mult = tuple(int(t) for t in args.deck.replace(",", " ").split())
-        deck = games.Deck(n=len(mult), multiplicities=mult)
+        toks = tuple(args.deck.replace(",", " ").split())
+        try:  # Deck reads each token strictly
+            deck = games.Deck(n=len(toks), multiplicities=toks)
+        except ValueError as exc:
+            raise ValueError(f"--deck {args.deck!r}: {exc}") from None
         if args.n is not None and args.n != deck.n:
             raise ValueError(f"--n {args.n} disagrees with deck size n={deck.n}")
         n = deck.n
@@ -339,6 +351,7 @@ def cmd_constants(args) -> int:
 
 
 def cmd_clt(args) -> int:
+    _check_n(args.n)
     seed = resolve_seed(args.seed)
     rep = asymptotics.clt_check(args.n, args.trials, seed)
     if args.format == "json":
@@ -348,193 +361,14 @@ def cmd_clt(args) -> int:
     return 0
 
 
-# --- verify -----------------------------------------------------------------
-
-
-def _verify_worked_example(full: bool):
-    tree = validate_tree({"n": 10, "root": 9, "parent": {
-        5: 9, 2: 5, 3: 5, 1: 2, 7: 3, 6: 1, 8: 1, 4: 6, 10: 4}})
-    code, aux = codec.slither_encode(tree, NORMAL)
-    code2, _ = codec.slither_encode(tree, Variant(2))
-    rr = codec.read_root_and_pset(code)
-    ok = (code.symbols == (3, 1, 4, 1, 5, 9, 2, 6, 5)
-          and aux == (7, 8, 10, 6, 2, 5, 1, 4, 3)
-          and code2.symbols == (3, 5, 1, 4, 6, 1, 5, 9, 2)
-          and codec.slither_decode(code) == tree
-          and codec.slither_decode(code2) == tree
-          and codec.read_alpha(code) == 6
-          and (rr.root, rr.root_class) == (9, "P")
-          and rr.p_set == frozenset({2, 6, 7, 8, 9, 10})
-          and codec.read_matching_via_beta(code) == (5, 4)
-          and codec.read_path_edges(code2) == (7, 7)
-          and len(trees.path_cover_decomposition(tree)) == 3)
-    return ok, "10-vertex reference tree, both variants"
-
-
-def _verify_bijection(full: bool):
-    nmax = 5 if full else 4
-    for b in (1, 2, 3):
-        for n in range(1, nmax + 1):
-            seen = set()
-            for digits in counting.all_codes(n):
-                t = codec.slither_decode(SlitherCode(n=n, variant=Variant(b),
-                                                     symbols=digits))
-                if t.key() in seen:
-                    return False, f"decode collision at n={n} b={b}"
-                seen.add(t.key())
-                back, _ = codec.slither_encode(t, Variant(b))
-                if back.symbols != digits:
-                    return False, f"round trip failed at n={n} b={b} {digits}"
-    return True, f"all codes, b in 1..3, n <= {nmax}"
-
-
-def _verify_reads(full: bool):
-    nmax = 6 if full else 5
-    for n in range(2, nmax + 1):
-        for digits in counting.all_codes(n):
-            t = codec.decode_sequence(digits, n)
-            pm = trees.classify(t, NORMAL)
-            code = SlitherCode(n=n, variant=NORMAL, symbols=digits)
-            if codec.read_alpha(code) != len(pm.p_set()):
-                return False, f"alpha read wrong for {digits} n={n}"
-            rr = codec.read_root_and_pset(code)
-            if (rr.root != t.root or rr.p_set != pm.p_set()
-                    or rr.root_class != ("P" if pm.is_p(t.root) else "N")):
-                return False, f"root/p-set read wrong for {digits} n={n}"
-            if codec.read_matching_via_beta(code)[1] != n - len(pm.p_set()):
-                return False, f"matching read wrong for {digits} n={n}"
-            for b in (2, 3):
-                tb = codec.decode_sequence(digits, n, Variant(b))
-                want = trees.classify(tb, Variant(b)).capacity_edges()
-                got = codec.read_capacity_edges(
-                    SlitherCode(n=n, variant=Variant(b), symbols=digits), b)[1]
-                if got != want:
-                    return False, f"capacity read wrong for {digits} n={n} b={b}"
-    return True, f"alpha, root, p-set, matching, capacity reads, n <= {nmax}"
-
-
-def _verify_counting(full: bool):
-    nmax = 6 if full else 5
-    for n in range(2, nmax + 1):
-        table = counting.exact_rooted_distribution(n, "independence")
-        for a, c in table.counts.items():
-            if c != counting.count_independence(n, a) * n:
-                return False, f"rooted count mismatch n={n} alpha={a}"
-        if counting.exact_dice_distribution(n).counts != table.counts:
-            return False, f"dice law differs from tree law at n={n}"
-    for n in range(2, 41):
-        counting.independence_table(n)  # raises if the total identity fails
-    for n in range(2, 13):
-        lhs = counting.expected_alpha(n)
-        rhs = counting.independence_table(n).mean()
-        if lhs != rhs:
-            return False, f"expectation identity fails at n={n}"
-    return True, f"closed forms vs exhaustive (n <= {nmax}), totals to n=40"
-
-
-def _verify_full_binary(full: bool):
-    mmax = 4 if full else 3
-    for m in range(1, mmax + 1):
-        deck = [i for i in range(1, m + 1) for _ in range(2)]
-        tally: dict[int, int] = {}
-        for deal in set(permutations(deck)):
-            a = games.coupon_read(deal, 2 * m + 1)
-            tally[a] = tally.get(a, 0) + 1
-        if tally != counting.full_binary_table(m).counts:
-            return False, f"deck table mismatch at m={m}"
-    for m in range(1, 9):
-        counting.full_binary_table(m)  # raises if the total identity fails
-    return True, f"exhaustive deals m <= {mmax}, totals to m=8"
-
-
-def _verify_capacity_oracle(full: bool):
-    nmax = 6 if full else 5
-    for n in range(2, nmax + 1):
-        for digits in counting.all_codes(n):
-            t = codec.decode_sequence(digits, n)
-            for b in (1, 2, 3):
-                if trees.max_capacity_edges(t, b) != trees.bf_max_capacity_edges(t, b):
-                    return False, f"formula vs brute force differs n={n} b={b}"
-    rng_count = 2000 if full else 300
-    source = games.RandomSource(1851)
-    for i in range(rng_count):
-        rng = source.trial_rng(i)
-        n = int(rng.integers(7, 13))
-        t = games.sample_uniform_rooted_tree(n, NORMAL, rng)
-        if trees.bf_max_independent(t) != trees.independence_number(t):
-            return False, f"independence mismatch on random tree {t}"
-        for b in (1, 2, 3):
-            if trees.max_capacity_edges(t, b) != trees.bf_max_capacity_edges(t, b):
-                return False, f"capacity mismatch on random tree {t} b={b}"
-    return True, f"exhaustive n <= {nmax} plus {rng_count} random trees, b in 1..3"
-
-
-def _verify_constants(full: bool):
-    c = asymptotics.constants()
-    checks = [
-        abs(c.rho - math.exp(-c.rho)) < 1e-14,
-        abs(c.full_binary_mean - (2 - math.sqrt(2))) < 1e-12,
-        abs(c.binary_lr_mean - (4 - 2 * math.sqrt(3))) < 1e-12,
-        abs(c.plane_mean - (math.sqrt(5) - 1) / 2) < 1e-12,
-        abs(c.full_binary_variance_coeff - (17 / 2 - 6 * math.sqrt(2))) < 1e-10,
-        abs(c.t0 - (1 + c.t0) * math.exp(-c.t0)) < 1e-14,
-        abs(c.sigma2 - 0.0256803222936) < 1e-10,
-        abs(c.path_cover_coeff - 0.2528989726646) < 1e-10,
-    ]
-    return all(checks), "fixed points vs closed forms"
-
-
-def _verify_sampling(full: bool):
-    if not full:
-        return True, "skipped at quick level"
-    c = asymptotics.constants()
-    h = games.run_trials(lambda rng: games.dice_trial(400, rng), 20_000, 97,
-                         n=400, parameter="alpha")
-    if abs(h.mean() / 400 - c.rho) > 0.01:
-        return False, f"dice mean/n {h.mean() / 400:.4f} far from rho"
-    h6 = games.run_trials(lambda rng: games.dice_trial(6, rng), 20_000, 98,
-                          n=6, parameter="alpha")
-    if games.tv_distance(h6, counting.exact_dice_distribution(6)) > 0.02:
-        return False, "dice n=6 tv distance too large"
-    pairs = [(games.binary_lr_trial, c.binary_lr_mean),
-             (games.plane_trial, c.plane_mean)]
-    for trial, want in pairs:
-        h = games.run_trials(lambda rng: trial(300, rng), 10_000, 99,
-                             n=300, parameter="alpha")
-        if abs(h.mean() / 300 - want) > 0.03:
-            return False, f"{trial.__name__} mean/n {h.mean() / 300:.4f} far from {want:.4f}"
-    hfb = games.run_trials(lambda rng: games.full_binary_trial(3, rng), 20_000, 100,
-                           n=7, parameter="alpha")
-    if games.tv_distance(hfb, counting.full_binary_table(3)) > 0.02:
-        return False, "full-binary m=3 tv distance too large"
-    return True, "simulated means/laws against exact references"
-
-
-_VERIFY_SUITE = [
-    ("worked-example", _verify_worked_example),
-    ("bijection-sweep", _verify_bijection),
-    ("reading-rules", _verify_reads),
-    ("counting-formulas", _verify_counting),
-    ("full-binary-decks", _verify_full_binary),
-    ("capacity-oracle", _verify_capacity_oracle),
-    ("constants", _verify_constants),
-    ("sampling-statistics", _verify_sampling),
-]
-
-
 def cmd_verify(args) -> int:
-    full = args.level == "full"
-    failures = 0
-    for name, fn in _VERIFY_SUITE:
-        try:
-            ok, detail = fn(full)
-        except Exception as exc:  # a crashed check is a failed check
-            ok, detail = False, f"crashed: {exc!r}"
+    passed = total = 0
+    for name, ok, detail in verify.run(args.level):
         print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
-        failures += 0 if ok else 1
-    print(f"{len(_VERIFY_SUITE) - failures}/{len(_VERIFY_SUITE)} checks passed "
-          f"({args.level} level)")
-    return 0 if failures == 0 else 1
+        passed += ok
+        total += 1
+    print(f"{passed}/{total} checks passed ({args.level} level)")
+    return 0 if passed == total else 1
 
 
 # --- argument parsing -------------------------------------------------------
@@ -649,10 +483,7 @@ def run(argv=None) -> int:
 def main(argv=None) -> int:
     try:
         return run(argv)
-    except (ValueError, KeyError) as exc:  # TreeError/CodeError/JSON errors included
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, KeyError, OSError) as exc:  # TreeError/CodeError/JSON errors included
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

@@ -177,9 +177,7 @@ def prefix_alpha(symbols, n: int) -> int:
 
 def _require_variant(code: SlitherCode, want: Variant, rule: str):
     if code.variant != want:
-        raise CodeError(
-            f"{rule} reads {want.name} codes, got a {code.variant.name} code"
-        )
+        raise CodeError(f"{rule} reads {want.name} codes, got a {code.variant.name} code")
 
 
 def read_alpha(code: SlitherCode) -> int:
@@ -238,9 +236,7 @@ def _saturation_read(symbols, n: int, b: int):
     beta = n-1 since the threshold then drops to zero.
     """
     counts: Counter = Counter()
-    saturated = 0
-    capped_total = 0
-    beta = 0
+    saturated = capped_total = beta = 0
     while saturated < n - 1 - beta:
         try:
             s = symbols[beta]

@@ -175,13 +175,13 @@ def all_codes(n: int):
     return product(range(1, n + 1), repeat=n - 1)
 
 
-def _check_budget(n: int, budget: int):
+def _check_budget(n: int):
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if n > budget:
+    if n > _ENUM_BUDGET:
         raise ValueError(
             f"enumeration budget exceeded: n={n} means {n}^{n - 1} sequences, "
-            f"capped at n <= {budget}")
+            f"capped at n <= {_ENUM_BUDGET}")
 
 
 def _tally_in_parts(tally, total: int) -> Counter:
@@ -253,8 +253,8 @@ _ROOTED_PARAMETERS = ("independence", "matching", "path_edges", "path_cover",
                       "capacity_edges")
 
 
-def exact_rooted_distribution(n: int, parameter: str = "independence", b: int = 2,
-                              budget: int = _ENUM_BUDGET) -> DistributionTable:
+def exact_rooted_distribution(n: int, parameter: str = "independence",
+                              b: int = 2) -> DistributionTable:
     """Parameter distribution over ALL rooted trees, by decoding every sequence.
 
     Deliberately computes on the decoded tree (classification counts), not
@@ -263,7 +263,7 @@ def exact_rooted_distribution(n: int, parameter: str = "independence", b: int = 
     """
     if parameter not in _ROOTED_PARAMETERS:
         raise ValueError(f"unknown parameter {parameter!r}, expected one of {_ROOTED_PARAMETERS}")
-    _check_budget(n, budget)
+    _check_budget(n)
 
     # each parameter is the capacity-edge count at some b, or n minus it: at
     # b=1 the count is the matching number and n minus it the independence
@@ -284,9 +284,9 @@ def exact_rooted_distribution(n: int, parameter: str = "independence", b: int = 
                              counts=dict(sorted(counts.items())))
 
 
-def exact_dice_distribution(n: int, budget: int = _ENUM_BUDGET) -> DistributionTable:
+def exact_dice_distribution(n: int) -> DistributionTable:
     """Exact dice-game stop distribution: coupon read over all n^(n-1) throws."""
-    _check_budget(n, budget)
+    _check_budget(n)
 
     def tally(lo: int, hi: int) -> Counter:
         return Counter(games.coupon_read(digits, n) for digits in islice(all_codes(n), lo, hi))

@@ -227,9 +227,9 @@ class TrialHistogram:
             raise ValueError("histograms describe different experiments")
         counts = Counter(self.counts)
         counts.update(other.counts)
-        seed = self.seed if self.seed == other.seed else min(self.seed, other.seed)
         return TrialHistogram(parameter=self.parameter, n=self.n,
-                              trials=self.trials + other.trials, seed=seed,
+                              trials=self.trials + other.trials,
+                              seed=min(self.seed, other.seed),
                               counts=dict(sorted(counts.items())))
 
     __add__ = merge
@@ -285,11 +285,8 @@ def tv_distance(a, b) -> float:
     """
     ca, ta = _counts_and_total(a)
     cb, tb = _counts_and_total(b)
-    support = set(ca) | set(cb)
-    acc = Fraction(0)
-    for v in support:
-        acc += abs(Fraction(ca.get(v, 0), ta) - Fraction(cb.get(v, 0), tb))
-    return float(acc) / 2
+    return float(sum(abs(Fraction(ca.get(v, 0), ta) - Fraction(cb.get(v, 0), tb))
+                     for v in set(ca) | set(cb))) / 2
 
 
 @dataclass(frozen=True)

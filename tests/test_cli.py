@@ -204,6 +204,29 @@ def test_simulate_rejects(capsys, argv, fragment):
     assert rc == 2 and fragment in err
 
 
+def test_simulate_deck_errors_name_the_flag_and_token(capsys):
+    rc, out, err = run_cli(capsys, "simulate", "--game", "cards", "--deck", "1 1.5 0",
+                           "--trials", "2", "--seed", "1")
+    assert (rc, out) == (2, "")
+    assert "--deck" in err and "'1.5'" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ("simulate", "--game", "dice", "--n", "100000000000", "--trials", "1"),
+        ("sample", "--family", "uniform", "--n", "100000000000"),
+        ("clt", "--n", "100000000000", "--trials", "10000"),
+    ),
+    ids=lambda argv: argv[0],
+)
+def test_n_is_bounded_before_anything_is_allocated(capsys, argv):
+    # without the bound each of these allocated n int64s and died in MemoryError (exit 1)
+    rc, out, err = run_cli(capsys, *argv, "--seed", "1")
+    assert (rc, out) == (2, "")
+    assert err == f"error: --n is bounded at {cli._SAMPLE_MAX_N}, got 100000000000\n"
+
+
 def test_simulate_threads_flag_starts_no_thread(capsys, monkeypatch):
     def refuse(self):
         raise AssertionError("a thread was started")

@@ -170,7 +170,7 @@ def test_enumeration_budget():
     with pytest.raises(ValueError, match="budget exceeded"):
         exact_rooted_distribution(8)
     with pytest.raises(ValueError, match="budget exceeded"):
-        exact_dice_distribution(5, budget=4)
+        exact_dice_distribution(8)
 
 
 def test_unknown_parameter():
