@@ -16,6 +16,7 @@ from . import asymptotics, codec, counting, games, trees
 from .codec import SlitherCode
 from .trees import NORMAL, Variant
 
+
 def _worked_example(full: bool):
     tree = trees.validate_tree({"n": 10, "root": 9, "parent": {
         5: 9, 2: 5, 3: 5, 1: 2, 7: 3, 6: 1, 8: 1, 4: 6, 10: 4}})
@@ -152,9 +153,8 @@ def _sampling(full: bool):
                           n=6, parameter="alpha")
     if games.tv_distance(h6, counting.exact_dice_distribution(6)) > 0.02:
         return False, "dice n=6 tv distance too large"
-    pairs = [(games.binary_lr_trial, c.binary_lr_mean),
-             (games.plane_trial, c.plane_mean)]
-    for trial, want in pairs:
+    for trial, want in ((games.binary_lr_trial, c.binary_lr_mean),
+                        (games.plane_trial, c.plane_mean)):
         h = games.run_trials(lambda rng: trial(300, rng), 10_000, 99,
                              n=300, parameter="alpha")
         if abs(h.mean() / 300 - want) > 0.03:
