@@ -7,6 +7,7 @@ import sys
 import time
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 from math import comb, factorial
 from pathlib import Path
 
@@ -24,6 +25,7 @@ from slithercode import (
     independence_table,
     stirling2,
 )
+from slithercode import Variant, classify
 
 from slithercode import counting
 from slithercode.counting import all_codes
@@ -146,6 +148,40 @@ def test_rooted_capacity_table():
     t = exact_rooted_distribution(5, "capacity_edges", b=3)
     assert t.counts == {3: 25, 4: 600}
     assert t.total == 5**4
+
+
+# (parameter, b) for every rooted table; b=None stands for b=n
+_ROOTED_CASES = [("independence", 2), ("matching", 2), ("path_edges", 2), ("path_cover", 2),
+                 *(("capacity_edges", b) for b in (1, 2, 3, 4, None))]
+
+
+@pytest.mark.parametrize("parameter, b", _ROOTED_CASES,
+                         ids=[p + (f"-b{b or 'n'}" if p == "capacity_edges" else "")
+                              for p, b in _ROOTED_CASES])
+def test_rooted_tables_match_a_tally_of_every_code(parameter, b):
+    for n in range(1, 7):
+        bb = b or n
+        cap = {"independence": 1, "matching": 1, "path_edges": 2, "path_cover": 2}.get(parameter, bb)
+        counts = Counter()
+        for digits in product(range(1, n + 1), repeat=n - 1):
+            edges = classify(decode_sequence(digits, n, Variant(cap)), Variant(cap)).capacity_edges()
+            counts[n - edges if parameter in ("independence", "path_cover") else edges] += 1
+        table = exact_rooted_distribution(n, parameter, b=bb)
+        assert table.counts == dict(sorted(counts.items())), (n, parameter, bb)
+        assert list(table.counts) == sorted(table.counts)
+
+
+_ONE_AND_TWO = {"independence": ({1: 1}, {1: 2}), "matching": ({0: 1}, {1: 2}),
+                "path_edges": ({0: 1}, {1: 2}), "path_cover": ({1: 1}, {1: 2}),
+                "capacity_edges": ({0: 1}, {1: 2})}
+
+
+@pytest.mark.parametrize("parameter", _ONE_AND_TWO)
+def test_rooted_tables_at_one_and_two_vertices(parameter):
+    one, two = _ONE_AND_TWO[parameter]
+    for b in (1, 2, 3):
+        assert exact_rooted_distribution(1, parameter, b=b).counts == one
+        assert exact_rooted_distribution(2, parameter, b=b).counts == two
 
 
 def test_dice_equals_rooted_independence_small():
