@@ -12,30 +12,25 @@ integers before returning:
   * uniform full binary trees (m internal vertices, n = 2m+1 total,
     counted over the (2m)!/2^m distinct deck deals).
 
-Exhaustive references walk every sequence in [n]^(n-1), decoding each one;
-these are the ground truth the closed forms are tested against.  Each code
-is tallied on its own, so a sweep splits the codes into contiguous index
-ranges, one per usable CPU and at least 1000 codes each.  The calling
-process tallies the first range and forked children the others, and the
-counts are summed, so every table is the same for any number of parts.
+Exhaustive references are the ground truth the closed forms are tested
+against.  The rooted tables sweep the Prüfer codes in [n]^(n-2), one per
+labelled tree, and weight each tree by its n roots, since every parameter
+they count ignores the root.  The dice table reads all n^(n-1) throws.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import sys
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice, product
+from itertools import product
 
 from . import games
 from .codec import SlitherCode, slither_decode
 from .trees import Variant, classify
 
-_ENUM_BUDGET = 7  # n^(n-1) decode sweeps stay interactive up to here
-_PART_MIN = 1000  # fewest codes per part worth a forked process
+_ENUM_BUDGET = 7  # n^(n-2) tree and n^(n-1) throw sweeps stay interactive up to here
 
 
 @dataclass(frozen=True)
@@ -184,79 +179,17 @@ def _check_budget(n: int):
             f"capped at n <= {_ENUM_BUDGET}")
 
 
-def _tally_in_parts(tally, total: int) -> Counter:
-    """tally(0, total), computed as disjoint index ranges across processes.
-
-    tally(lo, hi) returns a Counter over items lo..hi-1.  The caller runs
-    the first range; each other range runs in a forked child, which sends
-    back its Counter or its exception over a one-way pipe.  Serial below two
-    parts, where os.fork does not exist, and in a daemonic process (a pool
-    worker), which multiprocessing forbids to start children.
-    """
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:
-        cpus = os.cpu_count() or 1
-    parts = min(cpus, total // _PART_MIN)
-    if parts < 2 or not hasattr(os, "fork"):
-        return tally(0, total)
-    import multiprocessing  # only here, so importing the package stays light
-
-    if multiprocessing.current_process().daemon:
-        return tally(0, total)
-    ctx = multiprocessing.get_context("fork")
-    bounds = [total * i // parts for i in range(parts + 1)]
-    # a child flushes the stdio buffers it inherits as it exits, so empty them first
-    sys.stdout.flush()
-    sys.stderr.flush()
-    children = []
-    try:
-        for lo, hi in zip(bounds[1:-1], bounds[2:]):
-            recv, send = ctx.Pipe(duplex=False)
-            proc = ctx.Process(target=_send_tally, args=(send, tally, lo, hi))
-            proc.start()
-            children.append((proc, recv))
-            send.close()
-        counts = tally(bounds[0], bounds[1])
-        for proc, recv in children:
-            try:
-                ok, value = recv.recv()
-            except EOFError:
-                proc.join()
-                raise RuntimeError(f"sweep worker exited with code {proc.exitcode} "
-                                   "before sending its counts") from None
-            if not ok:
-                raise value
-            counts.update(value)
-        return counts
-    except BaseException:
-        for proc, _ in children:
-            proc.terminate()
-        raise
-    finally:
-        for proc, recv in children:
-            proc.join()
-            recv.close()
-
-
-def _send_tally(send, tally, lo: int, hi: int) -> None:
-    """Run tally(lo, hi) in a forked child and send (True, counts) or (False, error)."""
-    try:
-        result = (True, tally(lo, hi))
-    except Exception as exc:
-        result = (False, exc)
-    send.send(result)
-    send.close()
-
-
 _ROOTED_PARAMETERS = ("independence", "matching", "path_edges", "path_cover",
                       "capacity_edges")
 
 
 def exact_rooted_distribution(n: int, parameter: str = "independence",
                               b: int = 2) -> DistributionTable:
-    """Parameter distribution over ALL rooted trees, by decoding every sequence.
+    """Parameter distribution over ALL rooted trees, one labelled tree at a time.
 
+    Decodes each Prüfer code in [n]^(n-2) as the capacity-n slither code
+    digits + (n,), a tree rooted at n, as codec.prufer_decode does.  Every
+    parameter here ignores the root, so each tree counts for its n rootings.
     Deliberately computes on the decoded tree (classification counts), not
     through the code-reading shortcuts, so it can serve as an independent
     check of those rules.  b only matters for capacity_edges.
@@ -270,16 +203,14 @@ def exact_rooted_distribution(n: int, parameter: str = "independence",
     # number, at b=2 it is the path edges and n minus it the path cover
     variant = Variant({"capacity_edges": b, "path_edges": 2, "path_cover": 2}.get(parameter, 1))
     complement = parameter in ("independence", "path_cover")
-
-    def tally(lo: int, hi: int) -> Counter:
-        counts = Counter()
-        for digits in islice(all_codes(n), lo, hi):
-            tree = slither_decode(SlitherCode(n=n, variant=variant, symbols=digits))
-            edges = classify(tree, variant).capacity_edges()
-            counts[n - edges if complement else edges] += 1
-        return counts
-
-    counts = _tally_in_parts(tally, n ** (n - 1))
+    # the one-vertex tree has no Prüfer code, and its slither code is empty
+    codes = [()] if n == 1 else (d + (n,) for d in product(range(1, n + 1), repeat=n - 2))
+    prufer = Variant(n)
+    counts = Counter()
+    for symbols in codes:
+        tree = slither_decode(SlitherCode(n=n, variant=prufer, symbols=symbols))
+        edges = classify(tree, variant).capacity_edges()
+        counts[n - edges if complement else edges] += n
     return DistributionTable(family="uniform-rooted", parameter=parameter, n=n,
                              counts=dict(sorted(counts.items())))
 
@@ -287,10 +218,6 @@ def exact_rooted_distribution(n: int, parameter: str = "independence",
 def exact_dice_distribution(n: int) -> DistributionTable:
     """Exact dice-game stop distribution: coupon read over all n^(n-1) throws."""
     _check_budget(n)
-
-    def tally(lo: int, hi: int) -> Counter:
-        return Counter(games.coupon_read(digits, n) for digits in islice(all_codes(n), lo, hi))
-
-    counts = _tally_in_parts(tally, n ** (n - 1))
+    counts = Counter(games.coupon_read(digits, n) for digits in all_codes(n))
     return DistributionTable(family="dice", parameter="alpha", n=n,
                              counts=dict(sorted(counts.items())))

@@ -245,9 +245,10 @@ class TrialHistogram:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "TrialHistogram":
-        return cls(parameter=str(d["parameter"]), n=int(d["n"]), trials=int(d["trials"]),
-                   seed=int(d["seed"]),
-                   counts={int(v): int(c) for v, c in d["counts"].items()})
+        return cls(parameter=str(d["parameter"]), n=_strict_int(d["n"], "n"),
+                   trials=_strict_int(d["trials"], "trials"), seed=_strict_int(d["seed"], "seed"),
+                   counts={_strict_int(v, "count key"): _strict_int(c, "count")
+                           for v, c in d["counts"].items()})
 
 
 def run_trials(trial, trials: int, seed: int, *, n: int, parameter: str,

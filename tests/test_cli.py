@@ -381,7 +381,7 @@ def test_module_entry_point_subprocess():
 
 
 def test_import_loads_no_concurrency_machinery():
-    # trials run on one thread, and only a sweep loads multiprocessing, when it forks
+    # trials run on one thread and the exhaustive sweeps in one process
     src = Path(__file__).resolve().parent.parent / "src"
     probe = ("import sys, slithercode, slithercode.cli; "
              "print('concurrent.futures' in sys.modules, 'multiprocessing' in sys.modules)")

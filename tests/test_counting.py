@@ -4,7 +4,6 @@ import multiprocessing
 import os
 import subprocess
 import sys
-import time
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -14,6 +13,8 @@ from pathlib import Path
 import pytest
 
 from slithercode import (
+    Variant,
+    classify,
     count_full_binary,
     count_independence,
     decode_sequence,
@@ -25,7 +26,6 @@ from slithercode import (
     independence_table,
     stirling2,
 )
-from slithercode import Variant, classify
 
 from slithercode import counting
 from slithercode.counting import all_codes
@@ -214,40 +214,30 @@ def test_unknown_parameter():
         exact_rooted_distribution(4, "diameter")
 
 
-# --- the sweeps split across processes ---------------------------------------
+# --- the sweeps run in one process ------------------------------------------
 
-needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="the split forks")
-
-
-def _use_cpus(monkeypatch, count):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="the pool forks")
 
 
-@needs_fork
-@pytest.mark.parametrize("parts", (1, 2, 3))
-def test_tally_in_parts_covers_the_range_once(monkeypatch, parts):
-    _use_cpus(monkeypatch, parts)
-    got = counting._tally_in_parts(lambda lo, hi: Counter({(lo, hi): os.getpid()}), 3000)
-    ranges = sorted(got)
-    assert ranges[0][0] == 0 and ranges[-1][1] == 3000 and len(ranges) == parts
-    assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
-    assert len(set(got.values())) == parts  # one process per range
+@pytest.mark.parametrize("parameter", counting._ROOTED_PARAMETERS)
+def test_rooted_sweep_decodes_each_labelled_tree_once(monkeypatch, parameter):
+    decodes = []
+    decode = counting.slither_decode
+    monkeypatch.setattr(counting, "slither_decode", lambda code: decodes.append(code) or decode(code))
+    assert exact_rooted_distribution(6, parameter).total == 6**5
+    assert len(decodes) == 6**4  # the Prüfer codes, not the 6**5 rooted codes
 
 
-@needs_fork
-@pytest.mark.parametrize(
-    "sweep",
-    [lambda p=p: exact_rooted_distribution(6, p) for p in counting._ROOTED_PARAMETERS]
-    + [lambda: exact_rooted_distribution(6, "capacity_edges", b=3), lambda: exact_dice_distribution(6)],
-    ids=[*counting._ROOTED_PARAMETERS, "capacity_edges-b3", "dice"],
-)
-def test_sweep_tables_do_not_depend_on_the_parts(monkeypatch, sweep):
-    tables = []
-    for parts in (1, 2, 3):
-        _use_cpus(monkeypatch, parts)
-        tables.append(sweep())
-    assert tables[0].total == 6**5
-    assert tables[1] == tables[0] and tables[2] == tables[0]
+def test_a_sweep_loads_no_multiprocessing():
+    src = Path(__file__).resolve().parent.parent / "src"
+    probe = ("import sys\n"
+             "from slithercode import cli\n"
+             "rc = cli.main(['enumerate', '--parameter', 'independence', '--n', '7'])\n"
+             "print(rc, 'multiprocessing' in sys.modules, file=sys.stderr)\n")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "0 False\n")
+    assert proc.stdout.startswith("# family uniform-rooted\n")
 
 
 @needs_fork
@@ -257,53 +247,6 @@ def test_a_pool_worker_sweeps_serially():
         assert pool.apply(exact_dice_distribution, (6,)) == exact_dice_distribution(6)
 
 
-def _wait_for(path, count):
-    deadline = time.monotonic() + 30
-    while len(list(path.iterdir())) < count:
-        assert time.monotonic() < deadline, "the children did not start"
-        time.sleep(0.01)
-
-
-@needs_fork
-@pytest.mark.parametrize("failing", ("child", "caller"))
-def test_an_error_reaches_the_caller_and_every_child_is_reaped(monkeypatch, tmp_path, failing):
-    _use_cpus(monkeypatch, 3)
-
-    def tally(lo, hi):
-        if lo:  # a child's range: leave the pid, then fail or outlast the caller
-            (tmp_path / str(os.getpid())).touch()
-            if failing == "child":
-                raise ValueError(f"bad range {lo}..{hi}")
-            time.sleep(60)
-        _wait_for(tmp_path, 2)
-        if failing == "caller":
-            raise ValueError("bad first range")
-        return Counter()
-
-    start = time.monotonic()
-    with pytest.raises(ValueError, match="bad (range|first range)"):
-        counting._tally_in_parts(tally, 3000)
-    assert time.monotonic() - start < 30  # a sleeping child was stopped, not awaited
-    for pid in (int(p.name) for p in tmp_path.iterdir()):
-        with pytest.raises(ChildProcessError):  # reaped already: no zombie is left
-            os.waitpid(pid, os.WNOHANG)
-    assert multiprocessing.active_children() == []
-
-
-@needs_fork
-def test_a_child_that_dies_without_sending_names_its_exit_code(monkeypatch):
-    _use_cpus(monkeypatch, 2)
-
-    def tally(lo, hi):
-        if lo:
-            os._exit(3)
-        return Counter()
-
-    with pytest.raises(RuntimeError, match="exited with code 3"):
-        counting._tally_in_parts(tally, 3000)
-
-
-@needs_fork
 def test_buffered_output_is_written_once():
     # piped stdout is block-buffered; a forked child must not write the buffer again
     src = Path(__file__).resolve().parent.parent / "src"

@@ -1,6 +1,7 @@
 """Seeded simulation harness: games, decks, histograms, and the fit checks."""
 
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -255,6 +256,20 @@ def test_histogram_json_roundtrip():
     j = h.to_json_dict()
     assert all(isinstance(k, str) for k in j["counts"])
     assert TrialHistogram.from_json_dict(j) == h
+
+
+@pytest.mark.parametrize("field, bad, message", [
+    ("n", 1.9, "n must be an integer, got 1.9"),
+    ("trials", True, "trials must be an integer, got True"),
+    ("seed", 3.7, "seed must be an integer, got 3.7"),
+    ("counts", {"1": 2.5}, "count must be an integer, got 2.5"),
+    ("counts", {"1.5": 2}, "'1.5'"),
+], ids=("n", "trials", "seed", "count", "count-key"))
+def test_histogram_from_json_refuses_non_integers(field, bad, message):
+    good = {"parameter": "alpha", "n": 5, "trials": 2, "seed": 3, "counts": {"1": 2}}
+    assert TrialHistogram.from_json_dict(good).counts == {1: 2}
+    with pytest.raises(ValueError, match=re.escape(message)):
+        TrialHistogram.from_json_dict({**good, field: bad})
 
 
 # --- fit statistics ---------------------------------------------------------
