@@ -240,6 +240,31 @@ def test_a_sweep_loads_no_multiprocessing():
     assert proc.stdout.startswith("# family uniform-rooted\n")
 
 
+def _use_cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+def _no_fork():
+    raise AssertionError("a sweep forked")
+
+
+@pytest.mark.parametrize(
+    "sweep",
+    [lambda p=p: exact_rooted_distribution(6, p) for p in counting._ROOTED_PARAMETERS]
+    + [lambda: exact_rooted_distribution(6, "capacity_edges", b=3), lambda: exact_dice_distribution(6)],
+    ids=[*counting._ROOTED_PARAMETERS, "capacity_edges-b3", "dice"],
+)
+def test_sweep_tables_do_not_depend_on_the_parts(monkeypatch, sweep):
+    # however many CPUs are usable, a sweep is one part in this process
+    monkeypatch.setattr(os, "fork", _no_fork, raising=False)
+    tables = []
+    for parts in (1, 2, 3):
+        _use_cpus(monkeypatch, parts)
+        tables.append(sweep())
+    assert tables[0].total == 6**5
+    assert tables[1] == tables[0] and tables[2] == tables[0]
+
+
 @needs_fork
 def test_a_pool_worker_sweeps_serially():
     # pool workers are daemonic, and multiprocessing lets them start no children
