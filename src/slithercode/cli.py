@@ -30,9 +30,11 @@ from .trees import NORMAL, TreeError, Variant, _strict_int, validate_tree
 
 
 def tree_to_text(tree: trees.RootedTree) -> str:
-    lines = [f"{tree.n} {tree.root}"]
-    lines += [f"{c} {p}" for c, p in sorted(tree.parent.items())]
-    return "\n".join(lines) + "\n"
+    parent, root = tree.parent, tree.root
+    kids = [*range(1, root), *range(root + 1, tree.n + 1)]
+    rows = [0] * (2 * len(kids))
+    rows[::2], rows[1::2] = kids, map(parent.__getitem__, kids)
+    return f"{tree.n} {root}\n" + ("%d %d\n" * len(kids)) % tuple(rows)
 
 
 def tree_to_json_dict(tree: trees.RootedTree) -> dict:
@@ -40,24 +42,30 @@ def tree_to_json_dict(tree: trees.RootedTree) -> dict:
             "parent": {str(c): p for c, p in sorted(tree.parent.items())}}
 
 
+def _rows(text: str) -> list[str]:
+    """The non-blank lines of text, stripped, with #-comments removed."""
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [ln.split("#", 1)[0] for ln in lines]
+    return list(filter(None, map(str.strip, lines)))
+
+
 def parse_tree(text: str) -> trees.RootedTree:
     stripped = text.lstrip()
     if stripped.startswith("{"):
         return validate_tree(json.loads(stripped))
-    rows = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
-    rows = [r for r in rows if r]
+    rows = _rows(text)
     if not rows:
         raise TreeError("empty tree input")
     head = rows[0].split()
     if len(head) != 2:
         raise TreeError(f"first line must be 'n root', got {rows[0]!r}")
-    pairs = []
-    for r in rows[1:]:
-        tok = r.split()
-        if len(tok) != 2:
-            raise TreeError(f"expected 'child parent', got {r!r}")
-        pairs.append((tok[0], tok[1]))
-    return validate_tree({"n": head[0], "root": head[1], "parent": pairs})
+    if set(map(len, map(str.split, rows[1:]))) - {2}:
+        r = next(r for r in rows[1:] if len(r.split()) != 2)
+        raise TreeError(f"expected 'child parent', got {r!r}")
+    toks = " ".join(rows).split()
+    return validate_tree({"n": head[0], "root": head[1],
+                          "parent": zip(toks[2::2], toks[3::2])})
 
 
 def code_to_text(code: SlitherCode) -> str:
@@ -88,19 +96,19 @@ def parse_code(text: str, variant: Variant, n_flag: int | None) -> SlitherCode:
         if "n" in d:
             header_n = _strict_int(d["n"], "n")
     else:
-        rows = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
-        rows = [r for r in rows if r]
+        rows = _rows(text)
         if rows:
             head = rows[0].split()
             if len(head) == 2 and _is_int(head[0]) and not _is_int(head[1]):
                 header_n = int(head[0])
                 header_variant = Variant.parse(head[1])
                 rows = rows[1:]
-        toks = [t for r in rows for t in r.split()]
-        bad = [t for t in toks if not _is_int(t)]
-        if bad:
-            raise CodeError(f"non-integer symbol {bad[0]!r}")
-        symbols = [int(t) for t in toks]
+        toks = " ".join(rows).split()
+        try:
+            symbols = list(map(int, toks))
+        except ValueError:
+            bad = next(t for t in toks if not _is_int(t))
+            raise CodeError(f"non-integer symbol {bad!r}") from None
     if header_variant is not None and header_variant != variant:
         raise CodeError(
             f"input declares variant {header_variant.name}, --variant says {variant.name}")
@@ -192,7 +200,7 @@ def cmd_params(args) -> int:
         for k, v in out.items():
             if k == "classification":
                 for name, labs in v.items():
-                    row = " ".join(f"{vv}:{ll}" for vv, ll in labs.items())
+                    row = " ".join(map("{}:{}".format, labs, labs.values()))
                     print(f"classification[{name}]: {row}")
             else:
                 print(f"{k}: {v}")

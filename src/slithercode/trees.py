@@ -130,7 +130,9 @@ def validate_tree(data) -> RootedTree:
     with string or int keys (JSON round-trips produce strings).  A list of
     (child, parent) pairs is also accepted in place of the parent dict.
     Raises TreeError naming the defect: label out of range, duplicate parent
-    entry, multiple roots, root mismatch, or a cycle.
+    entry, multiple roots, root mismatch, or a cycle.  Valid input is checked
+    in bulk; the entries are walked one at a time only when a check fails, so
+    the message names the same first defect either way.
     """
     if isinstance(data, RootedTree):
         data = {"n": data.n, "root": data.root, "parent": data.parent}
@@ -148,10 +150,64 @@ def validate_tree(data) -> RootedTree:
 
     raw = data.get("parent", {})
     if isinstance(raw, dict):
-        pairs = [(c, p) for c, p in raw.items()]
+        kids, pars = list(raw), list(raw.values())
     else:
-        pairs = [(c, p) for c, p in raw]
+        kids, pars = [], []
+        for c, p in raw:
+            kids.append(c)
+            pars.append(p)
+    declared = data.get("root")
+    tree = _bulk_tree(n, kids, pars, declared)
+    return tree if tree is not None else _tree_by_entry(n, zip(kids, pars), declared)
 
+
+def _labels(values: list) -> list:
+    """The labels as ints, converted in one step; ValueError as _strict_int gives."""
+    kinds = set(map(type, values))
+    if kinds == {int}:
+        return values
+    if kinds == {str}:  # int() on a str accepts exactly what _strict_int does
+        return list(map(int, values))
+    return list(map(_strict_int, values))
+
+
+def _bulk_tree(n: int, kids: list, pars: list, declared) -> RootedTree | None:
+    """The tree when every check passes, None when any fails.
+
+    Range, self-parents and duplicates are checked in numpy; the root is the
+    one label that is not a child, and the walk for cycles is pointer
+    doubling: after k rounds up[v] is v's ancestor 2^k steps up, or the root,
+    so every vertex reaches the root within n.bit_length() rounds unless a
+    cycle holds it.
+    """
+    if not kids or len(kids) != n - 1:
+        return None
+    try:
+        kids, pars = _labels(kids), _labels(pars)
+        if declared is not None:
+            declared = _strict_int(declared)
+        c, p = np.array(kids, dtype=np.int64), np.array(pars, dtype=np.int64)
+    except (ValueError, OverflowError):
+        return None
+    if min(c.min(), p.min()) < 1 or max(c.max(), p.max()) > n:
+        return None
+    seen = np.bincount(c, minlength=n + 1)
+    if seen.max() > 1 or (c == p).any():
+        return None
+    root = int(seen[1:].argmin()) + 1
+    if declared is not None and declared != root:
+        return None
+    up = np.empty(n + 1, dtype=np.int64)
+    up[0], up[root], up[c] = 0, root, p
+    for _ in range(n.bit_length()):
+        up = up[up]
+    if (up[1:] != root).any():
+        return None
+    return RootedTree(n=n, root=root, parent=dict(zip(kids, pars)))
+
+
+def _tree_by_entry(n: int, pairs, declared) -> RootedTree:
+    """Check the (child, parent) pairs one at a time; raise naming the first defect."""
     parent: dict[int, int] = {}
     for c, p in pairs:
         try:
@@ -173,7 +229,6 @@ def validate_tree(data) -> RootedTree:
         raise TreeError(f"multiple roots: vertices {rootless} have no parent")
     root = rootless[0]
 
-    declared = data.get("root")
     if declared is not None:
         try:
             declared = _strict_int(declared)
