@@ -22,7 +22,6 @@ degree-constrained edge counts for b >= 2.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -233,19 +232,20 @@ def _saturation_read(symbols, n: int, b: int):
     """Smallest beta with #{symbols occurring >= b times in prefix} >= n-1-beta.
 
     Returns (beta, sum of min(count, b) over the prefix).  Terminates by
-    beta = n-1 since the threshold then drops to zero.
+    beta = n-1 since the threshold then drops to zero.  Symbols lie in 1..n,
+    as SlitherCode validates them, so the counts are a list indexed by symbol.
     """
-    counts: Counter = Counter()
+    counts = [0] * (n + 1)
     saturated = capped_total = beta = 0
     while saturated < n - 1 - beta:
         try:
             s = symbols[beta]
         except IndexError:
             raise ValueError("sequence exhausted before the saturation threshold") from None
-        counts[s] += 1
-        if counts[s] == b:
+        c = counts[s] = counts[s] + 1
+        if c == b:
             saturated += 1
-        if counts[s] <= b:
+        if c <= b:
             capped_total += 1
         beta += 1
     return beta, capped_total
