@@ -1,8 +1,10 @@
 """Seeded simulation harness: games, decks, histograms, and the fit checks."""
 
+import itertools
 import math
 import re
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -165,6 +167,61 @@ def test_each_trial_is_the_coupon_read_of_its_deal(deal, trial, size, n):
         cards = deal(size, RandomSource(3).trial_rng(i))
         assert len(cards) == n - 1
         assert trial(size, RandomSource(3).trial_rng(i)) == coupon_read(cards, n)
+
+
+def plane_tree_alpha_law(n):
+    """Independence numbers of the plane trees on n vertices, one per Dyck word."""
+    law = Counter()
+    for word in itertools.product((1, -1), repeat=2 * n - 2):
+        if sum(word) or min(itertools.accumulate(word), default=0) < 0:
+            continue
+        parent, path = [0], [0]  # an up step adds a child to the end of the path
+        for step in word:
+            if step == 1:
+                parent.append(path[-1])
+                path.append(len(parent) - 1)
+            else:
+                path.pop()
+        # children follow their parent in the word, so a reverse scan sees them first
+        has_p_child, alpha = [False] * n, 0
+        for v in range(n - 1, -1, -1):
+            if not has_p_child[v]:
+                alpha += 1
+                has_p_child[parent[v]] = v > 0
+        law[alpha] += 1
+    return law
+
+
+class _FixedOrder:
+    """Stands in for a generator whose permutation(k) returns one given order."""
+
+    def __init__(self, order=None):
+        self.order, self.sizes = order, []
+
+    def permutation(self, k):
+        self.sizes.append(k)
+        return np.arange(k) if self.order is None else np.array(self.order)
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 4, 5))
+def test_plane_trial_has_the_plane_tree_law_over_every_order_of_its_deal(n):
+    probe = _FixedOrder()
+    plane_trial(n, probe)
+    (k,) = probe.sizes
+    tally = Counter(plane_trial(n, _FixedOrder(order))
+                    for order in itertools.permutations(range(k)))
+    law = plane_tree_alpha_law(n)
+    total, trees = math.factorial(k), math.comb(2 * n - 2, n - 1) // n
+    assert sum(law.values()) == trees
+    assert {a: Fraction(c, total) for a, c in tally.items()} == \
+        {a: Fraction(c, trees) for a, c in law.items()}
+
+
+def test_plane_tree_alpha_law_small_cases():
+    # of the 5 plane trees on 4 vertices, the star and the root over a cherry read 3
+    assert plane_tree_alpha_law(1) == {1: 1}
+    assert plane_tree_alpha_law(3) == {2: 2}
+    assert plane_tree_alpha_law(4) == {2: 3, 3: 2}
 
 
 def test_full_binary_deal_shuffles_the_full_binary_deck():
