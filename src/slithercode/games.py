@@ -156,21 +156,24 @@ def binary_lr_trial(n: int, rng: np.random.Generator) -> int:
 
 
 def plane_deal(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Shuffle n numbered red cards into n black cards.
+    """Shuffle n-1 numbered red cards into n-1 black cards.
 
-    Red card j gets label b_j = number of black cards before it; the
-    coupon rule on (b_1, ..., b_{n-1}) samples the independence number of
-    a uniform plane tree.  Labels repeat exactly when reds are adjacent,
-    which is the only structure the read needs.
+    Red card j gets label b_j = number of black cards before it, in 0..n-1.
+    The reds per gap are a uniform weak composition of n-1 into n parts, in
+    uniform order, so a label sequence s has probability proportional to
+    the product of d_v! over its label counts d_v.  That is the number of
+    labelled plane trees with code s, a plane tree being a rooted tree with
+    its children ordered, so the coupon rule on (b_1, ..., b_{n-1}) samples
+    the independence number of a uniform plane tree on n vertices.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    perm = rng.permutation(2 * n)
-    is_black = perm >= n
+    perm = rng.permutation(2 * n - 2)
+    is_black = perm >= n - 1
     blacks_before = np.cumsum(is_black) - is_black
-    labels = np.empty(n, dtype=np.int64)
+    labels = np.empty(n - 1, dtype=np.int64)
     labels[perm[~is_black]] = blacks_before[~is_black]
-    return labels[: n - 1]
+    return labels
 
 
 def plane_trial(n: int, rng: np.random.Generator) -> int:

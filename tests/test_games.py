@@ -200,7 +200,7 @@ class _FixedOrder:
 
     def permutation(self, k):
         self.sizes.append(k)
-        return np.arange(k) if self.order is None else np.array(self.order)
+        return np.arange(k) if self.order is None else np.array(self.order, dtype=np.int64)
 
 
 @pytest.mark.parametrize("n", (1, 2, 3, 4, 5))

@@ -85,14 +85,15 @@ GOLDEN = (
 # parameter alpha
 # trials 300
 # seed 15
-21 1
-22 10
-23 34
-24 90
-25 93
-26 51
-27 18
-28 3
+21 2
+22 8
+23 28
+24 80
+25 86
+26 67
+27 20
+28 5
+29 4
 """),
     ('sample --family uniform --n 8 --count 2 --seed 21',
      """\
