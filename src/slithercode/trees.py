@@ -471,19 +471,19 @@ def path_cover_decomposition(tree: RootedTree) -> list[list[int]]:
 # --- brute-force oracles ----------------------------------------------------
 #
 # Exponential checks used to validate the game-theoretic formulas.  Subsets
-# are enumerated as bit rows of a numpy matrix; degree constraints become one
-# matrix product.
+# are the integers 0..2^k-1 read as bit masks, all tested at once in numpy;
+# a table of bit counts gives each subset's size and each vertex's degree.
 
 _BF_INDEP_LIMIT = 20
 _BF_EDGES_LIMIT = 16
 
 
-def _bit_rows(m: int) -> np.ndarray:
-    rows = np.empty((1 << m, m), dtype=np.uint8)
-    ar = np.arange(1 << m, dtype=np.uint32)
-    for j in range(m):
-        rows[:, j] = (ar >> j) & 1
-    return rows
+def _popcounts(k: int) -> np.ndarray:
+    """Bit counts of 0..2^k-1; i + 2^j has one bit more than i < 2^j."""
+    pc = np.zeros(1 << k, dtype=np.uint8)
+    for j in range(k):
+        pc[1 << j:2 << j] = pc[:1 << j] + 1
+    return pc
 
 
 def bf_max_independent(tree: RootedTree) -> int:
@@ -491,11 +491,12 @@ def bf_max_independent(tree: RootedTree) -> int:
     n = tree.n
     if n > _BF_INDEP_LIMIT:
         raise ValueError(f"brute force capped at n <= {_BF_INDEP_LIMIT}, got {n}")
-    rows = _bit_rows(n)
-    ok = np.ones(len(rows), dtype=bool)
+    subsets = np.arange(1 << n)
+    ok = np.ones(1 << n, dtype=bool)
     for c, p in tree.parent.items():
-        ok &= ~(rows[:, c - 1] & rows[:, p - 1]).astype(bool)
-    return int(rows[ok].sum(axis=1).max())
+        pair = (1 << (c - 1)) | (1 << (p - 1))
+        ok &= (subsets & pair) != pair
+    return int(_popcounts(n)[ok].max())
 
 
 def bf_max_capacity_edges(tree: RootedTree, b: int) -> int:
@@ -505,15 +506,15 @@ def bf_max_capacity_edges(tree: RootedTree, b: int) -> int:
         raise ValueError(f"brute force capped at n <= {_BF_EDGES_LIMIT}, got {n}")
     if b < 1:
         raise ValueError(f"capacity must be >= 1, got {b}")
-    edges = tree.edges()
-    m = len(edges)
-    if m == 0:
-        return 0
-    inc = np.zeros((m, n), dtype=np.uint8)
-    for i, (c, p) in enumerate(edges):
-        inc[i, c - 1] = 1
-        inc[i, p - 1] = 1
-    rows = _bit_rows(m)
-    deg = rows.astype(np.int16) @ inc
-    ok = (deg <= b).all(axis=1)
-    return int(rows[ok].sum(axis=1).max())
+    incident = [0] * (n + 1)  # bit i set when edge i meets the vertex
+    for i, (c, p) in enumerate(tree.parent.items()):
+        incident[c] |= 1 << i
+        incident[p] |= 1 << i
+    m = n - 1
+    pc = _popcounts(m)
+    subsets = np.arange(1 << m)
+    ok = np.ones(1 << m, dtype=bool)
+    for mask in incident:
+        if pc[mask] > b:
+            ok &= pc[subsets & mask] <= b
+    return int(pc[ok].max())

@@ -1,5 +1,8 @@
 """Tree validation, position classification, and the optimal-play certificates."""
 
+import itertools
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -260,6 +263,35 @@ def test_path_cover_partitions_into_tree_paths(t):
         assert p[0] <= p[-1]
     assert len(paths) == t.n - max_capacity_edges(t, 2)
     assert [min(p) for p in paths] == sorted(min(p) for p in paths)
+
+
+# --- brute-force oracles ----------------------------------------------------
+
+
+def largest_subset(items, ok):
+    """Size of the largest subset of items that ok accepts, by itertools.combinations."""
+    return max(k for k in range(len(items) + 1)
+               if any(ok(sub) for sub in itertools.combinations(items, k)))
+
+
+def independent(t, vertices):
+    return not any(t.parent.get(v) in vertices for v in vertices)
+
+
+def degrees_within(b, edges):
+    return max(Counter(v for e in edges for v in e).values(), default=0) <= b
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_bit_mask_oracles_match_an_enumeration_of_subsets(n):
+    cases = [random_tree(n, seed) for seed in range(12)] + [path_tree(n), star_tree(n)]
+    for t in cases:
+        vertices = range(1, t.n + 1)
+        assert bf_max_independent(t) == largest_subset(
+            vertices, lambda sub: independent(t, set(sub)))
+        for b in (1, 2, 3):
+            assert bf_max_capacity_edges(t, b) == largest_subset(
+                t.edges(), lambda sub: degrees_within(b, sub))
 
 
 # --- brute-force guards -----------------------------------------------------
