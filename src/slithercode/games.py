@@ -248,10 +248,21 @@ class TrialHistogram:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "TrialHistogram":
-        return cls(parameter=str(d["parameter"]), n=_strict_int(d["n"], "n"),
+        """Read integers strictly; n and trials are >= 1, counts >= 0 and sum to trials."""
+        hist = cls(parameter=str(d["parameter"]), n=_strict_int(d["n"], "n"),
                    trials=_strict_int(d["trials"], "trials"), seed=_strict_int(d["seed"], "seed"),
                    counts={_strict_int(v, "count key"): _strict_int(c, "count")
                            for v, c in d["counts"].items()})
+        for k in ("n", "trials"):
+            if getattr(hist, k) < 1:
+                raise ValueError(f"{k} must be >= 1, got {getattr(hist, k)}")
+        for v, c in hist.counts.items():
+            if c < 0:
+                raise ValueError(f"counts must be >= 0, got {c} for value {v}")
+        if sum(hist.counts.values()) != hist.trials:
+            raise ValueError(f"counts sum to {sum(hist.counts.values())}, "
+                             f"not to trials = {hist.trials}")
+        return hist
 
 
 def run_trials(trial, trials: int, seed: int, *, n: int, parameter: str,

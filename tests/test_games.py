@@ -329,6 +329,19 @@ def test_histogram_from_json_refuses_non_integers(field, bad, message):
         TrialHistogram.from_json_dict({**good, field: bad})
 
 
+@pytest.mark.parametrize("field, bad, message", [
+    ("n", -5, "n must be >= 1, got -5"),
+    ("trials", 0, "trials must be >= 1, got 0"),
+    ("counts", {"1": 7, "9": -4}, "counts must be >= 0, got -4 for value 9"),
+    ("counts", {"1": 1}, "counts sum to 1, not to trials = 2"),
+    ("counts", {"1": 2, "2": 1}, "counts sum to 3, not to trials = 2"),
+], ids=("n", "trials", "negative-count", "short-sum", "long-sum"))
+def test_histogram_from_json_checks_its_invariants(field, bad, message):
+    good = {"parameter": "alpha", "n": 5, "trials": 2, "seed": 3, "counts": {"1": 2}}
+    with pytest.raises(ValueError, match=re.escape(message)):
+        TrialHistogram.from_json_dict({**good, field: bad})
+
+
 # --- fit statistics ---------------------------------------------------------
 
 
