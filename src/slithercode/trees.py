@@ -174,11 +174,11 @@ def _labels(values: list) -> list:
 def _bulk_tree(n: int, kids: list, pars: list, declared) -> RootedTree | None:
     """The tree when every check passes, None when any fails.
 
-    Range, self-parents and duplicates are checked in numpy; the root is the
-    one label that is not a child, and the walk for cycles is pointer
-    doubling: after k rounds up[v] is v's ancestor 2^k steps up, or the root,
-    so every vertex reaches the root within n.bit_length() rounds unless a
-    cycle holds it.
+    Range and duplicates are checked in numpy; the root is the one label
+    that is not a child, and the walk for cycles, self-parents included, is
+    pointer doubling: after k rounds up[v] is v's ancestor 2^k steps up, or
+    the root, so every vertex reaches the root within n.bit_length() rounds
+    unless a cycle holds it.
     """
     if not kids or len(kids) != n - 1:
         return None
@@ -192,7 +192,7 @@ def _bulk_tree(n: int, kids: list, pars: list, declared) -> RootedTree | None:
     if min(c.min(), p.min()) < 1 or max(c.max(), p.max()) > n:
         return None
     seen = np.bincount(c, minlength=n + 1)
-    if seen.max() > 1 or (c == p).any():
+    if seen.max() > 1:
         return None
     root = int(seen[1:].argmin()) + 1
     if declared is not None and declared != root:

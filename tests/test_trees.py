@@ -3,6 +3,7 @@
 import itertools
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -25,6 +26,9 @@ from slithercode import (
     strategic_set,
     validate_tree,
 )
+
+from slithercode.cli import parse_tree
+from slithercode.trees import _bulk_tree, _tree_by_entry
 
 from conftest import random_tree
 
@@ -88,6 +92,84 @@ def test_validate_passthrough_identity():
 def test_validate_rejects(data, fragment):
     with pytest.raises(TreeError, match=fragment):
         validate_tree(data)
+
+
+def line_of_descent(tree, v):
+    """v and its ancestors below the root."""
+    while v != tree.root:
+        yield v
+        v = tree.parent[v]
+
+
+@st.composite
+def mutated_parent_entries(draw):
+    """(n, root, declared root, pairs): a random tree's entries after a few edits."""
+    n = draw(st.integers(1, 40))
+    if draw(st.booleans()):
+        tree = random_tree(n, draw(st.integers(0, 2**32 - 1)))
+    else:  # a path, deep enough to need every round of pointer doubling
+        order = draw(st.permutations(range(1, n + 1)))
+        tree = RootedTree(n=n, root=order[0], parent=dict(zip(order[1:], order)))
+    pairs = [list(e) for e in tree.parent.items()]
+    label = st.integers(1, n)
+    edits = st.sampled_from(
+        ("duplicate", "reparent", "cycle", "drop", "root-parent", "range", "type"))
+    for edit in draw(st.lists(edits, max_size=2)):
+        if edit == "root-parent":  # the root gains a parent: no root, or a cycle
+            pairs.append([tree.root, draw(label)])
+        if not pairs or edit == "root-parent":
+            continue
+        i = draw(st.integers(0, len(pairs) - 1))
+        c = pairs[i][0]
+        if edit == "duplicate":
+            pairs.insert(draw(st.integers(0, len(pairs))), [c, draw(label)])
+        elif edit == "reparent":
+            pairs[i][1] = draw(label)
+        elif edit == "cycle" and c in tree.parent:  # c's parent becomes a descendant, or c
+            below = [v for v in range(1, n + 1) if c in line_of_descent(tree, v) and v != c]
+            pairs[i][1] = draw(st.sampled_from(below or [c]))
+        elif edit == "drop":  # a second root
+            del pairs[i]
+        elif edit == "range":
+            pairs[i][draw(st.integers(0, 1))] = draw(st.sampled_from((-1, 0, n + 1, 2**70)))
+        elif edit == "type":
+            v = draw(label)
+            pairs[i][draw(st.integers(0, 1))] = draw(st.sampled_from(
+                (True, False, float(v), v + 0.5, str(v), f" {v} ", "x", np.int64(v))))
+    declared = draw(st.sampled_from((None, None, tree.root, str(tree.root), draw(label), 1.0)))
+    return n, tree.root, declared, [tuple(e) for e in pairs]
+
+
+def outcome(build):
+    """The tree and its entry order, or the TreeError message."""
+    try:
+        tree = build()
+    except TreeError as exc:
+        return str(exc)
+    return tree, list(tree.parent.items())
+
+
+@given(mutated_parent_entries(), st.sampled_from(("pairs", "dict", "str-keys", "text")))
+@settings(max_examples=400)
+def test_bulk_validation_agrees_with_the_per_entry_loop(case, form):
+    n, root, declared, pairs = case
+    if form == "text":  # the text always declares a root
+        declared = str(root if declared is None else declared)
+        pairs = [(str(c), str(p)) for c, p in pairs]
+        text = f"{n} {declared}\n" + "".join(f"{c} {p}\n" for c, p in pairs)
+        build = lambda: parse_tree(text)
+    else:
+        if form != "pairs":
+            keyed = {(str(c) if form == "str-keys" else c): p for c, p in pairs}
+            if len(keyed) < len(pairs):  # a repeated key keeps only its last parent
+                return
+            pairs = list(keyed.items())
+        raw = dict(pairs) if form != "pairs" else pairs
+        build = lambda: validate_tree({"n": n, "root": declared, "parent": raw})
+    want = outcome(lambda: _tree_by_entry(n, pairs, declared))
+    assert outcome(build) == want
+    if n > 1 and not isinstance(want, str):  # valid input never needs the per-entry loop
+        assert _bulk_tree(n, [c for c, _ in pairs], [p for _, p in pairs], declared) == want[0]
 
 
 # --- variants ---------------------------------------------------------------
