@@ -253,9 +253,10 @@ class TrialHistogram:
                    trials=_strict_int(d["trials"], "trials"), seed=_strict_int(d["seed"], "seed"),
                    counts={_strict_int(v, "count key"): _strict_int(c, "count")
                            for v, c in d["counts"].items()})
-        for k in ("n", "trials"):
-            if getattr(hist, k) < 1:
-                raise ValueError(f"{k} must be >= 1, got {getattr(hist, k)}")
+        if hist.n < 1:
+            raise ValueError(f"n must be >= 1, got {hist.n}")
+        if hist.trials < 1:
+            raise ValueError(f"trials must be >= 1, got {hist.trials}")
         for v, c in hist.counts.items():
             if c < 0:
                 raise ValueError(f"counts must be >= 0, got {c} for value {v}")
