@@ -30,6 +30,7 @@ from .trees import NORMAL, TreeError, Variant, _strict_int, validate_tree
 
 
 def tree_to_text(tree: trees.RootedTree) -> str:
+    """'n root', then a 'child parent' row per child by label, all in one format call."""
     parent, root = tree.parent, tree.root
     kids = [*range(1, root), *range(root + 1, tree.n + 1)]
     rows = [0] * (2 * len(kids))

@@ -117,7 +117,8 @@ def mutated_parent_entries(draw):
     for edit in draw(st.lists(edits, max_size=2)):
         if edit == "root-parent":  # the root gains a parent: no root, or a cycle
             pairs.append([tree.root, draw(label)])
-        if not pairs or edit == "root-parent":
+            continue
+        if not pairs:
             continue
         i = draw(st.integers(0, len(pairs) - 1))
         c = pairs[i][0]
