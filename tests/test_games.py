@@ -187,7 +187,8 @@ def plane_tree_alpha_law(n):
         for v in range(n - 1, -1, -1):
             if not has_p_child[v]:
                 alpha += 1
-                has_p_child[parent[v]] = v > 0
+                if v:
+                    has_p_child[parent[v]] = True
         law[alpha] += 1
     return law
 
