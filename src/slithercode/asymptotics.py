@@ -18,10 +18,10 @@ from .games import dice_trial, run_trials
 
 
 def solve_fixed_point(g, lo: float = 0.0, hi: float = 1.0, tol: float = 1e-14) -> float:
-    """Solve t = g(t) on [lo, hi] by bisection plus a Newton polish.
+    """Solve t = g(t) on [lo, hi] by bisection down to adjacent floats.
 
-    Requires t - g(t) to change sign across the bracket.  Guarantees
-    |t - g(t)| <= tol on return.
+    Requires t - g(t) to change sign across the bracket.  Returns the end
+    with the smaller |t - g(t)|, and guarantees |t - g(t)| <= tol.
     """
     f = lambda t: t - g(t)
     flo, fhi = f(lo), f(hi)
@@ -42,20 +42,9 @@ def solve_fixed_point(g, lo: float = 0.0, hi: float = 1.0, tol: float = 1e-14) -
             hi, fhi = mid, fm
         else:
             lo, flo = mid, fm
-    t = 0.5 * (lo + hi)
-    for _ in range(3):
-        h = 1e-7
-        d = (f(t + h) - f(t - h)) / (2 * h)
-        if d == 0:
-            break
-        step = f(t) / d
-        if not math.isfinite(step):
-            break
-        cand = t - step
-        if abs(f(cand)) < abs(f(t)):
-            t = cand
-    if abs(f(t)) > tol:
-        raise ArithmeticError(f"fixed point not converged: residual {f(t):.3e}")
+    t, ft = (lo, flo) if abs(flo) <= abs(fhi) else (hi, fhi)
+    if abs(ft) > tol:
+        raise ArithmeticError(f"fixed point not converged: residual {ft:.3e}")
     return t
 
 

@@ -104,12 +104,7 @@ def parse_code(text: str, variant: Variant, n_flag: int | None) -> SlitherCode:
                 header_n = int(head[0])
                 header_variant = Variant.parse(head[1])
                 rows = rows[1:]
-        toks = " ".join(rows).split()
-        try:
-            symbols = list(map(int, toks))
-        except ValueError:
-            bad = next(t for t in toks if not _is_int(t))
-            raise CodeError(f"non-integer symbol {bad!r}") from None
+        symbols = " ".join(rows).split()  # SlitherCode reads the tokens strictly
     if header_variant is not None and header_variant != variant:
         raise CodeError(
             f"input declares variant {header_variant.name}, --variant says {variant.name}")

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .trees import COMPLY, NORMAL, RootedTree, Variant, _prune, _strict_int
+from .trees import COMPLY, NORMAL, RootedTree, Variant, _prune, _strict_int, _strict_ints
 
 
 class CodeError(ValueError):
@@ -44,29 +44,16 @@ class SlitherCode:
     def __post_init__(self):
         if self.n < 1:
             raise CodeError(f"n must be >= 1, got {self.n}")
-        # checked in bulk, and symbol by symbol only to convert or to name a defect
-        sym = tuple(self.symbols)
-        if set(map(type, sym)) - {int}:
-            try:
-                sym = tuple(map(_strict_int, sym))
-            except ValueError:
-                raise _symbol_error(self.symbols) from None
+        try:
+            sym = tuple(_strict_ints(tuple(self.symbols), "symbol"))
+        except ValueError as exc:
+            raise CodeError(str(exc)) from None
         object.__setattr__(self, "symbols", sym)
         if len(sym) != self.n - 1:
             raise CodeError(f"expected {self.n - 1} symbols for n={self.n}, got {len(sym)}")
         if sym and (min(sym) < 1 or max(sym) > self.n):
             s = next(s for s in sym if not 1 <= s <= self.n)
             raise CodeError(f"symbol {s} out of range 1..{self.n}")
-
-
-def _symbol_error(symbols) -> CodeError:
-    """Name the first symbol that is not an integer, and its index."""
-    try:
-        for i, s in enumerate(symbols):
-            _strict_int(s)
-    except ValueError:
-        return CodeError(f"non-integer symbol {s!r} at index {i}")
-    return CodeError(f"symbols must be a sequence of integers, got {type(symbols).__name__}")
 
 
 def slither_encode(tree: RootedTree, variant: Variant = NORMAL):
@@ -274,8 +261,6 @@ def read_path_edges(code: SlitherCode):
 
 def read_capacity_edges(code: SlitherCode, b: int):
     """(beta, max size of a degree-<=b edge set) from a capacity-b code."""
-    if b < 1:
-        raise ValueError(f"capacity must be >= 1, got {b}")
     _require_variant(code, Variant(b), "read_capacity_edges")
     return _saturation_read(code.symbols, code.n, b)
 

@@ -22,6 +22,7 @@ by one, and classifies each vertex as it is deleted.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -123,16 +124,36 @@ def _strict_int(value, what: str = "value") -> int:
     raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
+def _strict_ints(values, what: str):
+    """The values as ints, read once, each as _strict_int reads it.
+
+    All ints come back as they are, and all strings go through int(), which
+    accepts exactly what _strict_int does.  ValueError names the first value
+    that is not an integer and its index.
+    """
+    kinds = set(map(type, values))
+    if kinds == {int}:
+        return values
+    out: list[int] = []
+    try:  # extend keeps what it read before a failure, so len(out) is the index
+        out.extend(map(int if kinds == {str} else _strict_int, values))
+    except ValueError:
+        i = len(out)
+        raise ValueError(f"non-integer {what} {values[i]!r} at index {i}") from None
+    return out
+
+
 def validate_tree(data) -> RootedTree:
     """Build a RootedTree from a dict, a (n, root, parent) triple, or pairs.
 
     Accepted dict form: {"n": int, "root": int optional, "parent": {child: parent}}
     with string or int keys (JSON round-trips produce strings).  A list of
     (child, parent) pairs is also accepted in place of the parent dict.
-    Raises TreeError naming the defect: label out of range, duplicate parent
-    entry, multiple roots, root mismatch, or a cycle.  Valid input is checked
-    in bulk; the entries are walked one at a time only when a check fails, so
-    the message names the same first defect either way.
+    Raises TreeError naming the defect: a parent that is neither a map nor
+    pairs, label out of range, duplicate parent entry, multiple roots (past
+    10, the first 10 and their count), root mismatch, or a cycle.  Valid
+    input is checked in bulk; the entries are walked one at a time only when
+    a check fails, so the message names the same first defect either way.
     """
     if isinstance(data, RootedTree):
         data = {"n": data.n, "root": data.root, "parent": data.parent}
@@ -152,23 +173,21 @@ def validate_tree(data) -> RootedTree:
     if isinstance(raw, dict):
         kids, pars = list(raw), list(raw.values())
     else:
-        kids, pars = [], []
-        for c, p in raw:
-            kids.append(c)
-            pars.append(p)
+        try:
+            entries = iter(raw)
+        except TypeError:
+            raise TreeError("parent must be a map or a list of (child, parent) pairs, "
+                            f"got {raw!r}") from None
+        kids, pars, pair = [], [], (list, tuple)
+        for e in entries:
+            if not isinstance(e, pair) or len(e) != 2:
+                raise TreeError(f"parent entry {e!r} at index {len(kids)} "
+                                "is not a (child, parent) pair")
+            kids.append(e[0])
+            pars.append(e[1])
     declared = data.get("root")
     tree = _bulk_tree(n, kids, pars, declared)
     return tree if tree is not None else _tree_by_entry(n, zip(kids, pars), declared)
-
-
-def _labels(values: list) -> list:
-    """The labels as ints, converted in one step; ValueError as _strict_int gives."""
-    kinds = set(map(type, values))
-    if kinds == {int}:
-        return values
-    if kinds == {str}:  # int() on a str accepts exactly what _strict_int does
-        return list(map(int, values))
-    return list(map(_strict_int, values))
 
 
 def _bulk_tree(n: int, kids: list, pars: list, declared) -> RootedTree | None:
@@ -183,7 +202,7 @@ def _bulk_tree(n: int, kids: list, pars: list, declared) -> RootedTree | None:
     if not kids or len(kids) != n - 1:
         return None
     try:
-        kids, pars = _labels(kids), _labels(pars)
+        kids, pars = _strict_ints(kids, "label"), _strict_ints(pars, "label")
         if declared is not None:
             declared = _strict_int(declared)
         c, p = np.array(kids, dtype=np.int64), np.array(pars, dtype=np.int64)
@@ -222,10 +241,16 @@ def _tree_by_entry(n: int, pairs, declared) -> RootedTree:
             raise TreeError(f"vertex {c} listed as its own parent")
         parent[c] = p
 
-    rootless = [v for v in range(1, n + 1) if v not in parent]
-    if not rootless:
+    # every entry has a distinct child in 1..n, so n - len(parent) vertices
+    # lack a parent, and the first 10 of them lie among labels 1..len(parent)+10
+    roots = n - len(parent)
+    if not roots:
         raise TreeError("every vertex has a parent, so the parent map closes a cycle")
-    if len(rootless) > 1:
+    rootless = list(islice((v for v in range(1, n + 1) if v not in parent), 10))
+    if roots > 10:
+        raise TreeError(f"multiple roots: {roots} vertices have no parent, "
+                        f"the first 10 are {rootless}")
+    if roots > 1:
         raise TreeError(f"multiple roots: vertices {rootless} have no parent")
     root = rootless[0]
 
@@ -263,29 +288,29 @@ def _tree_by_entry(n: int, pairs, declared) -> RootedTree:
 class PositionMap:
     """Classification of every vertex under one game variant.
 
-    p_child_count[v] counts the P-children of v; v is P iff that count is
-    at most b-1.  Labels follow the variant: P/N for normal, P0/P1/N for
-    comply, Pk/N in general.
+    p_child_count is the pruning scan's list, indexed by label with entry 0
+    unused: p_child_count[v] counts the P-children of v, and v is P iff that
+    count is at most b-1.  Labels follow the variant: P/N for normal,
+    P0/P1/N for comply, Pk/N in general.
     """
 
     variant: Variant
     n: int
-    p_child_count: dict[int, int]
+    p_child_count: list[int]
 
     def is_p(self, v: int) -> bool:
         return self.p_child_count[v] <= self.variant.b - 1
 
     def p_set(self) -> frozenset[int]:
-        return frozenset(v for v in self.p_child_count if self.is_p(v))
+        return frozenset(v for v in range(1, self.n + 1) if self.is_p(v))
 
     def n_set(self) -> frozenset[int]:
-        return frozenset(v for v in self.p_child_count if not self.is_p(v))
+        return frozenset(v for v in range(1, self.n + 1) if not self.is_p(v))
 
     def p_subset(self, k: int) -> frozenset[int]:
         """P-vertices with exactly k P-children (the Pk class)."""
-        return frozenset(
-            v for v, c in self.p_child_count.items() if c == k and self.is_p(v)
-        )
+        pc = self.p_child_count
+        return frozenset(v for v in range(1, self.n + 1) if pc[v] == k and self.is_p(v))
 
     def label(self, v: int) -> str:
         c = self.p_child_count[v]
@@ -296,7 +321,7 @@ class PositionMap:
         return f"P{c}"
 
     def labels(self) -> dict[int, str]:
-        return {v: self.label(v) for v in sorted(self.p_child_count)}
+        return {v: self.label(v) for v in range(1, self.n + 1)}
 
     def capacity_edges(self) -> int:
         """Largest edge set in which every vertex has degree <= b.
@@ -307,7 +332,7 @@ class PositionMap:
         number.
         """
         b = self.variant.b
-        return sum(b if c > b - 1 else c for c in self.p_child_count.values())
+        return sum(b if c > b - 1 else c for c in islice(self.p_child_count, 1, None))
 
 
 def _prune(n: int, parents, b: int, place) -> list[int]:
@@ -345,11 +370,10 @@ def _prune(n: int, parents, b: int, place) -> list[int]:
 
 
 def classify(tree: RootedTree, variant: Variant = NORMAL) -> PositionMap:
-    """Classify all vertices bottom-up, by the codes' pruning scan (no recursion)."""
-    parent, n = tree.parent, tree.n
-    pcount = _prune(n, parent.values(), variant.b, lambda v, is_p: parent[v])
-    return PositionMap(variant=variant, n=n,
-                       p_child_count=dict(zip(range(1, n + 1), pcount[1:])))
+    """Classify all vertices bottom-up by the codes' pruning scan, keeping its count list."""
+    parent = tree.parent
+    pcount = _prune(tree.n, parent.values(), variant.b, lambda v, is_p: parent[v])
+    return PositionMap(variant=variant, n=tree.n, p_child_count=pcount)
 
 
 def independence_number(tree: RootedTree) -> int:
@@ -362,17 +386,7 @@ def matching_number(tree: RootedTree) -> int:
     return tree.n - independence_number(tree)
 
 
-@dataclass(frozen=True)
-class MatchingCertificate:
-    """Explicit matching witnessing the matching number."""
-
-    edges: tuple[tuple[int, int], ...]  # (n_vertex, p_child) pairs
-
-    def size(self) -> int:
-        return len(self.edges)
-
-
-def matching_certificate(tree: RootedTree) -> MatchingCertificate:
+def matching_certificate(tree: RootedTree) -> StrategicSet:
     """Pair each N-vertex with its smallest-labelled P-child.
 
     Every N-vertex has a P-child by definition, and a P-child has a P or N
@@ -380,7 +394,7 @@ def matching_certificate(tree: RootedTree) -> MatchingCertificate:
     there are exactly n - |P| of them.  This is the b=1 strategic set: under
     b=1 a P-vertex has no P-child, so only N-vertices contribute an edge.
     """
-    return MatchingCertificate(edges=strategic_set(tree, 1).edges)
+    return strategic_set(tree, 1)
 
 
 def max_capacity_edges(tree: RootedTree, b: int) -> int:
@@ -408,8 +422,6 @@ def strategic_set(tree: RootedTree, b: int) -> StrategicSet:
     P-vertices get at most one from above and b-1 at most from below.
     Edges are sorted by parent, then child.
     """
-    if b < 1:
-        raise ValueError(f"capacity must be >= 1, got {b}")
     n, root, parent = tree.n, tree.root, tree.parent
     pcount = classify(tree, Variant(b)).p_child_count
     pkids: list[list[int]] = [[] for _ in range(n + 1)]

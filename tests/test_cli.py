@@ -356,6 +356,23 @@ def test_non_integral_json_exits_2(capsys, argv, fragment):
     assert rc == 2 and out == "" and fragment in err
 
 
+@pytest.mark.parametrize(
+    "tree, fragment",
+    (
+        ('{"n": 3, "parent": 5}', "parent must be a map or a list"),
+        ('{"n": 2, "parent": null}', "parent must be a map or a list"),
+        ('{"n": 3, "parent": [1, 2]}', "parent entry 1 at index 0 is not a"),
+        ('{"n": 3, "parent": ["21", "31"]}', "parent entry '21' at index 0 is not a"),
+        ('{"n": 1000000, "parent": {}}', "1000000 vertices have no parent"),
+        ("1000000000000 1", "1000000000000 vertices have no parent"),
+    ),
+)
+def test_bad_parent_or_many_roots_exit_2_with_a_short_error(capsys, tree, fragment):
+    rc, out, err = run_cli(capsys, "params", tree)
+    assert rc == 2 and out == "" and fragment in err
+    assert len(err.encode()) < 200
+
+
 def test_long_code_with_one_bad_symbol_gives_a_short_error(capsys, tmp_path):
     symbols = [1] * 99_997
     symbols[50_000] = 1.5

@@ -89,8 +89,8 @@ def test_code_normalizes_symbols():
         (3, (1.5, 2.9), "non-integer symbol"),
         (3, (True, 1), "non-integer symbol"),
         (5, [1, 2, 1.5, 3], r"^non-integer symbol 1\.5 at index 2$"),
-        # a one-shot iterator is spent by the first pass, so only its type is named
-        (2, iter(["x"]), "sequence of integers, got list_iterator"),
+        # a one-shot iterator is read once, so its bad symbol is still named
+        (2, iter(["x"]), r"^non-integer symbol 'x' at index 0$"),
     ),
 )
 def test_code_rejects(n, symbols, fragment):

@@ -1,0 +1,50 @@
+"""Static checks on the package source, read with ast: the export list and unused imports.
+
+No linter is a dependency, so these catch what a deletion leaves behind: an
+export whose definition is gone, or an import that nothing uses any more.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import slithercode
+
+PACKAGE = Path(slithercode.__file__).resolve().parent
+MODULES = sorted(PACKAGE.glob("*.py"))
+
+
+def parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def imported_names(tree: ast.Module) -> dict[str, int]:
+    """Each name an import statement binds, with its line; __future__ imports bind none."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                names[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                names[alias.asname or alias.name] = node.lineno
+    return names
+
+
+def test_all_is_exactly_what_init_imports():
+    exported = slithercode.__all__
+    assert len(exported) == len(set(exported)), "duplicate names in __all__"
+    missing = [name for name in exported if not hasattr(slithercode, name)]
+    assert not missing, f"__all__ names that do not resolve: {missing}"
+    assert set(exported) == set(imported_names(parse(PACKAGE / "__init__.py")))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_uses_every_name_it_imports(path):
+    tree = parse(path)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    if path.name == "__init__.py":  # the package imports to re-export
+        used |= set(slithercode.__all__)
+    unused = {name: line for name, line in imported_names(tree).items() if name not in used}
+    assert not unused, f"{path.name} imports names it never uses: {unused}"

@@ -87,6 +87,16 @@ def test_validate_passthrough_identity():
         ({"n": 3, "parent": {2: True, 3: 1}}, "non-integer labels"),
         ({"n": 3.0, "parent": {2: 1, 3: 1}}, "non-integer vertex count"),
         ({"n": 3, "root": 1.0, "parent": {2: 1, 3: 1}}, "non-integer declared root"),
+        ({"n": 3, "parent": 5}, "^parent must be a map or a list of .* got 5$"),
+        ({"n": 2, "parent": None}, "^parent must be a map or a list of .* got None$"),
+        ({"n": 3, "parent": [1, 2]}, r"^parent entry 1 at index 0 is not a \(child, parent\)"),
+        ({"n": 3, "parent": ["21", "31"]}, "^parent entry '21' at index 0 is not a"),
+        ({"n": 3, "parent": [(2, 1), (3, 1, 1)]}, r"^parent entry \(3, 1, 1\) at index 1"),
+        # past 10 rootless vertices only the first 10 are named, so the message stays short
+        ({"n": 10**6, "parent": {}},
+         r"^multiple roots: 1000000 vertices have no parent, the first 10 are \[1, .* 10\]$"),
+        ({"n": 10**12, "parent": {2: 1}}, "^multiple roots: 999999999999 vertices have"),
+        ({"n": 11, "parent": {2: 1}}, r"^multiple roots: vertices \[1, 3, .* 11\] have"),
     ),
 )
 def test_validate_rejects(data, fragment):
