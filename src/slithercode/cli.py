@@ -24,7 +24,7 @@ import sys
 
 from . import asymptotics, codec, counting, games, trees, verify
 from .codec import CodeError, SlitherCode
-from .trees import NORMAL, TreeError, Variant, _strict_int, validate_tree
+from .trees import NORMAL, TreeError, Variant, _INT_TEXT, _echo, _strict_int, validate_tree
 
 # --- serialization ----------------------------------------------------------
 
@@ -60,10 +60,10 @@ def parse_tree(text: str) -> trees.RootedTree:
         raise TreeError("empty tree input")
     head = rows[0].split()
     if len(head) != 2:
-        raise TreeError(f"first line must be 'n root', got {rows[0]!r}")
+        raise TreeError(f"first line must be 'n root', got {_echo(rows[0])}")
     if set(map(len, map(str.split, rows[1:]))) - {2}:
         r = next(r for r in rows[1:] if len(r.split()) != 2)
-        raise TreeError(f"expected 'child parent', got {r!r}")
+        raise TreeError(f"expected 'child parent', got {_echo(r)}")
     toks = " ".join(rows).split()
     return validate_tree({"n": head[0], "root": head[1],
                           "parent": zip(toks[2::2], toks[3::2])})
@@ -76,14 +76,6 @@ def code_to_text(code: SlitherCode) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _is_int(tok: str) -> bool:
-    try:
-        int(tok)
-        return True
-    except ValueError:
-        return False
-
-
 def parse_code(text: str, variant: Variant, n_flag: int | None) -> SlitherCode:
     stripped = text.lstrip()
     header_n, header_variant = None, None
@@ -91,7 +83,7 @@ def parse_code(text: str, variant: Variant, n_flag: int | None) -> SlitherCode:
         d = json.loads(stripped)
         symbols = d.get("symbols", [])
         if not isinstance(symbols, list):
-            raise CodeError(f"symbols must be a JSON list, got {symbols!r}")
+            raise CodeError(f"symbols must be a JSON list, got {_echo(symbols)}")
         if "variant" in d:
             header_variant = Variant.parse(str(d["variant"]))
         if "n" in d:
@@ -100,7 +92,8 @@ def parse_code(text: str, variant: Variant, n_flag: int | None) -> SlitherCode:
         rows = _rows(text)
         if rows:
             head = rows[0].split()
-            if len(head) == 2 and _is_int(head[0]) and not _is_int(head[1]):
+            if (len(head) == 2 and _INT_TEXT.fullmatch(head[0])
+                    and not _INT_TEXT.fullmatch(head[1])):
                 header_n = int(head[0])
                 header_variant = Variant.parse(head[1])
                 rows = rows[1:]
@@ -228,7 +221,8 @@ def cmd_read(args) -> int:
     return 0
 
 
-# Bounds --n of sample, simulate and clt; a decode holds about 240 B per vertex.
+# Bounds --n of sample, simulate and clt, and --n times --count of sample, whose
+# trees are held until printed at about 80 to 150 B per vertex.
 _SAMPLE_MAX_N = 10**6
 
 
@@ -241,20 +235,17 @@ def cmd_sample(args) -> int:
     _check_n(args.n)
     if args.count < 1:
         raise ValueError(f"--count must be >= 1, got {args.count}")
-    seed = resolve_seed(args.seed)
-    n = args.n
-    if args.family == "uniform":
-        draw = lambda rng: games.sample_uniform_rooted_tree(n, args.variant, rng)
-    elif args.family == "full-binary":
-        m = games.full_binary_m(n)
-        draw = lambda rng: codec.decode_sequence(games.full_binary_deal(m, rng), n)
-    elif args.family == "binary-lr":
-        draw = lambda rng: codec.decode_sequence(games.binary_lr_deal(n, rng), n)
-    else:
+    if args.n * args.count > _SAMPLE_MAX_N:
+        raise ValueError(f"--n times --count is bounded at {_SAMPLE_MAX_N}, "
+                         f"got --n {args.n} --count {args.count}")
+    if args.family == "plane":
         raise ValueError(
             "the plane family has no tree codec here; plane supports simulate only")
+    seed = resolve_seed(args.seed)
+    n, deal = args.n, games.DEALS["dice" if args.family == "uniform" else args.family]
     source = games.RandomSource(seed)
-    sampled = [draw(source.trial_rng(i)) for i in range(args.count)]
+    sampled = [codec.decode_sequence(deal(n, source.trial_rng(i)).tolist(), n, args.variant)
+               for i in range(args.count)]
     if args.format == "json":
         if args.count == 1:
             emit_json(tree_to_json_dict(sampled[0]))
@@ -277,7 +268,7 @@ def cmd_simulate(args) -> int:
         try:  # Deck reads each token strictly
             deck = games.Deck(n=len(toks), multiplicities=toks)
         except ValueError as exc:
-            raise ValueError(f"--deck {args.deck!r}: {exc}") from None
+            raise ValueError(f"--deck {_echo(args.deck)}: {exc}") from None
         if args.n is not None and args.n != deck.n:
             raise ValueError(f"--n {args.n} disagrees with deck size n={deck.n}")
         n = deck.n
@@ -285,16 +276,8 @@ def cmd_simulate(args) -> int:
     else:
         if args.n is None:
             raise ValueError(f"--n is required for the {game} game")
-        n = args.n
-        if game == "dice":
-            trial = lambda rng: games.dice_trial(n, rng)
-        elif game == "full-binary":
-            m = games.full_binary_m(n)
-            trial = lambda rng: games.full_binary_trial(m, rng)
-        elif game == "binary-lr":
-            trial = lambda rng: games.binary_lr_trial(n, rng)
-        else:
-            trial = lambda rng: games.plane_trial(n, rng)
+        n, deal = args.n, games.DEALS[game]
+        trial = lambda rng: games.coupon_read(deal(n, rng), n)
     hist = games.run_trials(trial, args.trials, seed, n=n, parameter="alpha")
     if args.format == "json":
         emit_json(hist.to_json_dict())
@@ -423,22 +406,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_read)
 
     p = sub.add_parser("sample", help="draw random trees")
-    p.add_argument("--family", choices=("uniform", "full-binary", "binary-lr", "plane"),
-                   required=True)
+    p.add_argument("--family", required=True,
+                   choices=["uniform" if f == "dice" else f for f in games.DEALS])
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--count", type=int, default=1)
     p.add_argument("--seed", type=int, default=None,
                    help="omit to draw one from system entropy (echoed to stderr)")
     p.add_argument("--variant", type=Variant.parse, default=NORMAL,
                    metavar="{normal|comply|b=K}",
-                   help="decode variant for the uniform family (default normal; "
+                   help="decode variant, for every family (default normal; "
                         "does not change the distribution)")
     fmt(p)
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("simulate", help="run game trials, output a histogram")
-    p.add_argument("--game", choices=("dice", "cards", "full-binary", "binary-lr", "plane"),
-                   required=True)
+    p.add_argument("--game", choices=[*games.DEALS, "cards"], required=True)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, default=None)

@@ -26,7 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .trees import COMPLY, NORMAL, RootedTree, Variant, _prune, _strict_int, _strict_ints
+from .trees import (COMPLY, NORMAL, RootedTree, Variant, _echo, _prune, _strict_int,
+                    _strict_ints)
 
 
 class CodeError(ValueError):
@@ -278,7 +279,7 @@ def prufer_encode(n: int, edges) -> tuple[int, ...]:
         try:
             u, v = _strict_int(u), _strict_int(v)
         except ValueError:
-            raise CodeError(f"non-integer edge ({u!r}, {v!r})") from None
+            raise CodeError(f"non-integer edge ({_echo(u)}, {_echo(v)})") from None
         if not (1 <= u <= n and 1 <= v <= n) or u == v:
             raise CodeError(f"bad edge ({u}, {v}) for n={n}")
         adj[u].append(v)

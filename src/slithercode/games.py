@@ -180,6 +180,18 @@ def plane_trial(n: int, rng: np.random.Generator) -> int:
     return coupon_read(plane_deal(n, rng), n)
 
 
+# Each family's deal as deal(n, rng): the n-1 cards whose coupon read is the
+# family's game.  Decoded at any variant they draw the family's trees with
+# one law, as a vertex's symbol count is its out-degree under every variant;
+# plane's deal has no tree codec here.
+DEALS = {
+    "dice": dice_deal,
+    "full-binary": lambda n, rng: full_binary_deal(full_binary_m(n), rng),
+    "binary-lr": binary_lr_deal,
+    "plane": plane_deal,
+}
+
+
 def sample_uniform_rooted_tree(n: int, variant: Variant = NORMAL,
                                rng: np.random.Generator | None = None) -> RootedTree:
     """Exactly uniform over the n^(n-1) rooted labelled trees.

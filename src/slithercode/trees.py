@@ -21,6 +21,7 @@ by one, and classifies each vertex as it is deleted.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from itertools import islice
 
@@ -31,6 +32,21 @@ class TreeError(ValueError):
     """Raised when input fails to describe a rooted tree on 1..n."""
 
 
+def _echo(value) -> str:
+    """repr(value) for an error message, cut in the middle past 80 characters.
+
+    Messages echo outside input, which can be of any size; a shorter repr
+    is kept whole, so the message is the same as with !r.
+    """
+    text = repr(value)
+    return text if len(text) <= 80 else f"{text[:40]}...{text[-37:]}"
+
+
+# An integer in text: an optional sign, then ASCII digits.  int() also takes
+# digit-group underscores, surrounding spaces and non-ASCII digits.
+_INT_TEXT = re.compile(r"[+-]?[0-9]+")
+
+
 @dataclass(frozen=True)
 class Variant:
     """Game variant, determined entirely by the capacity b >= 1."""
@@ -39,7 +55,7 @@ class Variant:
 
     def __post_init__(self):
         if not isinstance(self.b, int) or isinstance(self.b, bool) or self.b < 1:
-            raise ValueError(f"capacity must be a positive integer, got {self.b!r}")
+            raise ValueError(f"capacity must be a positive integer, got {_echo(self.b)}")
 
     @property
     def name(self) -> str:
@@ -62,12 +78,10 @@ class Variant:
         elif t.startswith("capacity(") and t.endswith(")"):
             body = t[len("capacity("):-1]
         else:
-            raise ValueError(f"unknown variant {text!r} (expected normal, comply, or b=K)")
-        try:
-            b = int(body)
-        except ValueError:
-            raise ValueError(f"bad capacity in variant {text!r}") from None
-        return cls(b)
+            raise ValueError(f"unknown variant {_echo(text)} (expected normal, comply, or b=K)")
+        if not _INT_TEXT.fullmatch(body):
+            raise ValueError(f"bad capacity in variant {_echo(text)}")
+        return cls(int(body))
 
     def __str__(self):
         return self.name
@@ -110,36 +124,43 @@ class RootedTree:
 
 
 def _strict_int(value, what: str = "value") -> int:
-    """int(value) for ints, numpy integers and integral strings only.
+    """int(value) for ints, numpy integers and strings matching _INT_TEXT only.
 
     Outside input goes through here instead of int(), which truncates 1.9
-    to 1 and reads True as 1.  Raises ValueError for anything else.
+    to 1, reads True as 1 and " 1_0" as 10.  Raises ValueError for anything
+    else.
     """
-    # exact int and str first: this runs once per label or symbol
+    # exact int first: this runs once per label or symbol
     if type(value) is int:
         return value
-    if type(value) is str or (isinstance(value, (int, np.integer, str))
-                              and not isinstance(value, bool)):
+    if isinstance(value, str):
+        if _INT_TEXT.fullmatch(value):
+            return int(value)
+    elif isinstance(value, (int, np.integer)) and not isinstance(value, bool):
         return int(value)
-    raise ValueError(f"{what} must be an integer, got {value!r}")
+    raise ValueError(f"{what} must be an integer, got {_echo(value)}")
 
 
 def _strict_ints(values, what: str):
     """The values as ints, read once, each as _strict_int reads it.
 
-    All ints come back as they are, and all strings go through int(), which
-    accepts exactly what _strict_int does.  ValueError names the first value
-    that is not an integer and its index.
+    All ints come back as they are.  Strings that are all unsigned are
+    checked at once, over their joined text; any other values go one at a
+    time through _strict_int.  ValueError names the first value that is not
+    an integer and its index.
     """
     kinds = set(map(type, values))
     if kinds == {int}:
         return values
+    # bytes.isdigit takes ASCII digits only, and "replace" turns the rest into "?"
+    if kinds == {str} and all(values) and "".join(values).encode("ascii", "replace").isdigit():
+        return list(map(int, values))
     out: list[int] = []
     try:  # extend keeps what it read before a failure, so len(out) is the index
-        out.extend(map(int if kinds == {str} else _strict_int, values))
+        out.extend(map(_strict_int, values))
     except ValueError:
         i = len(out)
-        raise ValueError(f"non-integer {what} {values[i]!r} at index {i}") from None
+        raise ValueError(f"non-integer {what} {_echo(values[i])} at index {i}") from None
     return out
 
 
@@ -177,11 +198,11 @@ def validate_tree(data) -> RootedTree:
             entries = iter(raw)
         except TypeError:
             raise TreeError("parent must be a map or a list of (child, parent) pairs, "
-                            f"got {raw!r}") from None
+                            f"got {_echo(raw)}") from None
         kids, pars, pair = [], [], (list, tuple)
         for e in entries:
             if not isinstance(e, pair) or len(e) != 2:
-                raise TreeError(f"parent entry {e!r} at index {len(kids)} "
+                raise TreeError(f"parent entry {_echo(e)} at index {len(kids)} "
                                 "is not a (child, parent) pair")
             kids.append(e[0])
             pars.append(e[1])
@@ -232,7 +253,8 @@ def _tree_by_entry(n: int, pairs, declared) -> RootedTree:
         try:
             c, p = _strict_int(c), _strict_int(p)
         except ValueError:
-            raise TreeError(f"non-integer labels in parent entry ({c!r}, {p!r})") from None
+            raise TreeError("non-integer labels in parent entry "
+                            f"({_echo(c)}, {_echo(p)})") from None
         if not (1 <= c <= n) or not (1 <= p <= n):
             raise TreeError(f"label out of range 1..{n} in parent entry ({c}, {p})")
         if c in parent:
@@ -258,7 +280,7 @@ def _tree_by_entry(n: int, pairs, declared) -> RootedTree:
         try:
             declared = _strict_int(declared)
         except ValueError:
-            raise TreeError(f"non-integer declared root {declared!r}") from None
+            raise TreeError(f"non-integer declared root {_echo(declared)}") from None
         if declared != root:
             raise TreeError(f"declared root {declared} but vertex {root} has no parent")
 

@@ -10,7 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from slithercode import cli, constants, full_binary_table
+from slithercode import cli, constants, full_binary_table, games
+from slithercode.codec import decode_sequence
+from slithercode.trees import COMPLY, NORMAL
 
 FIG1_ARG = "3 1 4 1 5 9 2 6 5"
 FIG1_TREE_TEXT = """\
@@ -159,6 +161,25 @@ def test_sample_rejects(capsys, argv, fragment):
 def test_sample_plane_points_at_simulate(capsys):
     rc, _, err = run_cli(capsys, "sample", "--family", "plane", "--n", "6", "--seed", "1")
     assert rc == 2 and "simulate only" in err
+
+
+def test_sample_count_is_bounded_before_any_tree_is_drawn(capsys, monkeypatch):
+    # every tree is held until printing: 10^8 trees at n = 8 would need about 60 GB
+    monkeypatch.setattr(games, "RandomSource", None)
+    rc, out, err = run_cli(capsys, "sample", "--family", "uniform", "--n", "8",
+                           "--count", "100000000", "--seed", "1")
+    assert (rc, out) == (2, "")
+    assert err == (f"error: --n times --count is bounded at {cli._SAMPLE_MAX_N}, "
+                   "got --n 8 --count 100000000\n")
+
+
+def test_sample_variant_applies_to_every_family(capsys):
+    deal = games.DEALS["full-binary"](9, games.RandomSource(2).trial_rng(0)).tolist()
+    comply = decode_sequence(deal, 9, COMPLY)
+    assert comply != decode_sequence(deal, 9, NORMAL)
+    rc, out, _ = run_cli(capsys, "sample", "--family", "full-binary", "--n", "9",
+                         "--seed", "2", "--variant", "comply")
+    assert (rc, out) == (0, cli.tree_to_text(comply))
 
 
 def test_simulate_dice(capsys):
@@ -371,6 +392,51 @@ def test_bad_parent_or_many_roots_exit_2_with_a_short_error(capsys, tree, fragme
     rc, out, err = run_cli(capsys, "params", tree)
     assert rc == 2 and out == "" and fragment in err
     assert len(err.encode()) < 200
+
+
+BIG = "x" * 10**6
+
+
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ("decode", "--variant", "normal", json.dumps({"symbols": [1, BIG]})),
+        ("params", json.dumps({"n": 3, "parent": [[2, 1], [BIG]]})),
+        ("params", json.dumps({"n": 3, "parent": [[2, 1], [3, BIG]]})),
+        ("decode", "--variant", "normal", json.dumps({"symbols": BIG})),
+        ("params", f"3 1\n2 1\n{BIG}"),
+        ("params", f"{BIG}\n2 1\n3 1"),
+        ("decode", "--variant", "normal", f"3 {BIG}\n1 1"),
+        ("params", json.dumps({"n": 3, "root": BIG, "parent": {"2": 1, "3": 1}})),
+    ),
+    ids=("code-symbol", "parent-entry", "parent-label", "symbols-not-a-list", "tree-row",
+         "tree-first-line", "code-header-variant", "declared-root"),
+)
+def test_a_huge_bad_value_gives_a_short_error(capsys, argv):
+    # each message echoed the whole value, a megabyte on stderr
+    rc, out, err = run_cli(capsys, *argv)
+    assert (rc, out) == (2, "")
+    assert len(err.encode()) < 300 and "xxx...xxx" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    (
+        (("decode", "--variant", "normal", "1_0 1 2 3 4 5 6 7 8 9"),
+         "non-integer symbol '1_0' at index 0"),
+        (("decode", "--variant", "normal", '{"symbols": [1, "\u0663"]}'),
+         "non-integer symbol '\u0663' at index 1"),
+        (("params", '{"n": " 3", "parent": {"2": 1, "3": 1}}'),
+         "missing or non-integer vertex count n"),
+        (("decode", "--variant", "normal", '{"n": "3 ", "symbols": [1, 1]}'),
+         "n must be an integer, got '3 '"),
+        (("decode", "--variant", "normal", "1 -3 2"), "symbol -3 out of range 1..4"),
+    ),
+)
+def test_integer_text_is_a_sign_and_ascii_digits(capsys, argv, message):
+    # int() reads "1_0" as 10 and " 3" as 3; a signed integer still reaches the range check
+    rc, out, err = run_cli(capsys, *argv)
+    assert (rc, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_long_code_with_one_bad_symbol_gives_a_short_error(capsys, tmp_path):

@@ -31,9 +31,9 @@ from slithercode import (
 )
 
 from slithercode.codec import decode_sequence
-from slithercode.games import (binary_lr_deal, dice_deal, full_binary_deal, full_binary_m,
-                               plane_deal)
-from slithercode.trees import COMPLY, NORMAL
+from slithercode.games import (DEALS, binary_lr_deal, dice_deal, full_binary_deal,
+                               full_binary_m, plane_deal)
+from slithercode.trees import COMPLY, NORMAL, Variant
 
 from conftest import multiset_permutations
 
@@ -163,10 +163,31 @@ def test_lr_and_plane_trials_stay_in_range(n, seed):
     ),
 )
 def test_each_trial_is_the_coupon_read_of_its_deal(deal, trial, size, n):
+    family = {dice_deal: "dice", full_binary_deal: "full-binary",
+              binary_lr_deal: "binary-lr", plane_deal: "plane"}[deal]
     for i in range(20):
         cards = deal(size, RandomSource(3).trial_rng(i))
         assert len(cards) == n - 1
         assert trial(size, RandomSource(3).trial_rng(i)) == coupon_read(cards, n)
+        assert np.array_equal(DEALS[family](n, RandomSource(3).trial_rng(i)), cards)
+
+
+@pytest.mark.parametrize(
+    "n, deals",
+    (
+        # binary-lr: every ordered draw of 4 of the 10 cards (v, side), sides ignored
+        (5, [[c // 2 + 1 for c in draw] for draw in itertools.permutations(range(10), 4)]),
+        # full-binary at m = 3: the 90 distinct orders of 1, 1, 2, 2, 3, 3
+        (7, list(multiset_permutations((1, 1, 2, 2, 3, 3)))),
+    ),
+    ids=("binary-lr", "full-binary"),
+)
+def test_deal_decodes_to_one_tree_law_at_every_variant(n, deals):
+    # a vertex's symbol count is its out-degree at every variant, and a deal's
+    # probability depends only on those counts, so sample may decode at any
+    laws = [Counter(decode_sequence(d, n, variant).key() for d in deals)
+            for variant in (NORMAL, COMPLY, Variant(3))]
+    assert laws[0] == laws[1] == laws[2]
 
 
 def plane_tree_alpha_law(n):

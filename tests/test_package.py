@@ -1,7 +1,8 @@
-"""Static checks on the package source, read with ast: the export list and unused imports.
+"""Static checks on the package source, read with ast.
 
 No linter is a dependency, so these catch what a deletion leaves behind: an
 export whose definition is gone, or an import that nothing uses any more.
+One more keeps the command line drawing every family through games.DEALS.
 """
 
 import ast
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import slithercode
+from slithercode import games
 
 PACKAGE = Path(slithercode.__file__).resolve().parent
 MODULES = sorted(PACKAGE.glob("*.py"))
@@ -48,3 +50,13 @@ def test_module_uses_every_name_it_imports(path):
         used |= set(slithercode.__all__)
     unused = {name: line for name, line in imported_names(tree).items() if name not in used}
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+def test_cli_draws_every_family_through_the_deal_table():
+    per_family = {f"{family.replace('-', '_')}_{kind}"
+                  for family in games.DEALS for kind in ("deal", "trial")}
+    per_family.add("sample_uniform_rooted_tree")
+    named = {node.attr for node in ast.walk(parse(PACKAGE / "cli.py"))
+             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+             and node.value.id == "games"}
+    assert not named & per_family, f"cli.py bypasses games.DEALS: {named & per_family}"
