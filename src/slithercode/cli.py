@@ -24,7 +24,8 @@ import sys
 
 from . import asymptotics, codec, counting, games, trees, verify
 from .codec import CodeError, SlitherCode
-from .trees import NORMAL, TreeError, Variant, _INT_TEXT, _echo, _strict_int, validate_tree
+from .trees import (NORMAL, TreeError, Variant, _INT_TEXT, _check_positive, _cut, _echo,
+                    _strict_int, validate_tree)
 
 # --- serialization ----------------------------------------------------------
 
@@ -51,10 +52,18 @@ def _rows(text: str) -> list[str]:
     return list(filter(None, map(str.strip, lines)))
 
 
+def _load_json(text: str):
+    """json.loads, with input nested too deeply for the decoder refused as invalid."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON input nests arrays or objects too deeply to read") from None
+
+
 def parse_tree(text: str) -> trees.RootedTree:
     stripped = text.lstrip()
     if stripped.startswith("{"):
-        return validate_tree(json.loads(stripped))
+        return validate_tree(_load_json(stripped))
     rows = _rows(text)
     if not rows:
         raise TreeError("empty tree input")
@@ -80,7 +89,7 @@ def parse_code(text: str, variant: Variant, n_flag: int | None) -> SlitherCode:
     stripped = text.lstrip()
     header_n, header_variant = None, None
     if stripped.startswith("{"):
-        d = json.loads(stripped)
+        d = _load_json(stripped)
         symbols = d.get("symbols", [])
         if not isinstance(symbols, list):
             raise CodeError(f"symbols must be a JSON list, got {_echo(symbols)}")
@@ -122,8 +131,9 @@ def emit_json(obj) -> None:
 
 
 def emit_kv(obj: dict) -> None:
+    """One 'key: value' line per entry, a list's items space-separated."""
     for k, v in obj.items():
-        print(f"{k}: {v}")
+        print(f"{k}: {' '.join(map(str, v)) if isinstance(v, list) else v}")
 
 
 def resolve_seed(seed: int | None) -> int:
@@ -170,13 +180,12 @@ def cmd_params(args) -> int:
     b = args.b
     pm_normal = trees.classify(tree, NORMAL)
     pm_comply = trees.classify(tree, Variant(2))
-    alpha = len(pm_normal.p_set())
-    path_edges = pm_comply.capacity_edges()
+    matching, path_edges = pm_normal.capacity_edges(), pm_comply.capacity_edges()
     out = {
         "n": tree.n,
         "root": tree.root,
-        "independence": alpha,
-        "matching": tree.n - alpha,
+        "independence": tree.n - matching,
+        "matching": matching,
         "path_edges": path_edges,
         "path_cover": tree.n - path_edges,
         "b": b,
@@ -186,13 +195,10 @@ def cmd_params(args) -> int:
     if args.format == "json":
         emit_json(out)
     else:
-        for k, v in out.items():
-            if k == "classification":
-                for name, labs in v.items():
-                    row = " ".join(map("{}:{}".format, labs, labs.values()))
-                    print(f"classification[{name}]: {row}")
-            else:
-                print(f"{k}: {v}")
+        emit_kv({k: v for k, v in out.items() if k != "classification"})
+        for name, labs in out["classification"].items():
+            row = " ".join(map("{}:{}".format, labs, labs.values()))
+            print(f"classification[{name}]: {row}")
     return 0
 
 
@@ -213,11 +219,7 @@ def cmd_read(args) -> int:
         beta, edges = codec.read_capacity_edges(code, b)
         out = {"n": code.n, "variant": code.variant.name, "b": b,
                "beta": beta, "capacity_edges": edges}
-    if args.format == "json":
-        emit_json(out)
-    else:
-        emit_kv({k: (" ".join(map(str, v)) if isinstance(v, list) else v)
-                 for k, v in out.items()})
+    (emit_json if args.format == "json" else emit_kv)(out)
     return 0
 
 
@@ -233,8 +235,7 @@ def _check_n(n: int | None) -> None:
 
 def cmd_sample(args) -> int:
     _check_n(args.n)
-    if args.count < 1:
-        raise ValueError(f"--count must be >= 1, got {args.count}")
+    _check_positive(args.count, "--count")
     if args.n * args.count > _SAMPLE_MAX_N:
         raise ValueError(f"--n times --count is bounded at {_SAMPLE_MAX_N}, "
                          f"got --n {args.n} --count {args.count}")
@@ -247,10 +248,8 @@ def cmd_sample(args) -> int:
     sampled = [codec.decode_sequence(deal(n, source.trial_rng(i)).tolist(), n, args.variant)
                for i in range(args.count)]
     if args.format == "json":
-        if args.count == 1:
-            emit_json(tree_to_json_dict(sampled[0]))
-        else:
-            emit_json([tree_to_json_dict(t) for t in sampled])
+        dicts = [tree_to_json_dict(t) for t in sampled]
+        emit_json(dicts if args.count > 1 else dicts[0])
     else:
         sys.stdout.write("\n".join(tree_to_text(t) for t in sampled))
     return 0
@@ -271,14 +270,14 @@ def cmd_simulate(args) -> int:
             raise ValueError(f"--deck {_echo(args.deck)}: {exc}") from None
         if args.n is not None and args.n != deck.n:
             raise ValueError(f"--n {args.n} disagrees with deck size n={deck.n}")
-        n = deck.n
-        trial = lambda rng: games.card_trial(deck, rng)
+        n, cards = deck.n, deck.cards()  # expanded once, shuffled by each deal
+        deal = lambda _, rng: rng.permutation(cards)
     else:
         if args.n is None:
             raise ValueError(f"--n is required for the {game} game")
         n, deal = args.n, games.DEALS[game]
-        trial = lambda rng: games.coupon_read(deal(n, rng), n)
-    hist = games.run_trials(trial, args.trials, seed, n=n, parameter="alpha")
+    hist = games.run_trials(lambda rng: games.coupon_read(deal(n, rng), n), args.trials,
+                            seed, n=n, parameter="alpha")
     if args.format == "json":
         emit_json(hist.to_json_dict())
     else:
@@ -341,10 +340,7 @@ def cmd_clt(args) -> int:
     _check_n(args.n)
     seed = resolve_seed(args.seed)
     rep = asymptotics.clt_check(args.n, args.trials, seed)
-    if args.format == "json":
-        emit_json(rep.to_json_dict())
-    else:
-        emit_kv(rep.to_json_dict())
+    (emit_json if args.format == "json" else emit_kv)(rep.to_json_dict())
     return 0
 
 
@@ -361,8 +357,15 @@ def cmd_verify(args) -> int:
 # --- argument parsing -------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser, and its subparsers, that cut an error as _echo cuts a value."""
+
+    def error(self, message):  # 400 is past any message about a short argument
+        super().error(_cut(message, 400))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="slithercode",
         description="Slither codes: tree/sequence bijections, parameter reads, "
                     "samplers, exact enumeration, and limit checks.")
@@ -435,8 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--family", choices=("uniform", "full-binary"), default="uniform")
     p.add_argument("--parameter", default=None,
-                   choices=("independence", "matching", "path-edges", "path-cover",
-                            "capacity-edges"),
+                   choices=[p.replace("_", "-") for p in counting._ROOTED_PARAMETERS],
                    help="rooted exhaustive sweep (n <= 7); default: closed-form "
                         "unrooted independence table")
     p.add_argument("--b", type=int, default=2, help="capacity for capacity-edges")
@@ -469,7 +471,7 @@ def run(argv=None) -> int:
 def main(argv=None) -> int:
     try:
         return run(argv)
-    except (ValueError, KeyError, OSError) as exc:  # TreeError/CodeError/JSON errors included
+    except (ValueError, OSError) as exc:  # TreeError/CodeError/JSON errors included
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

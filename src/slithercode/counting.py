@@ -28,7 +28,7 @@ from itertools import product
 
 from . import games
 from .codec import SlitherCode, slither_decode
-from .trees import Variant, classify
+from .trees import Variant, _check_positive, classify
 
 _ENUM_BUDGET = 7  # n^(n-2) tree and n^(n-1) throw sweeps stay interactive up to here
 
@@ -91,12 +91,9 @@ def _rfact(k: int) -> Fraction:
 
 def count_independence(n: int, alpha: int) -> int:
     """Labelled unrooted trees on n vertices with independence number alpha."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    _check_positive(n, "n")
     if not (1 <= alpha <= n):
         return 0
-    if n == 1:
-        return 1 if alpha == 1 else 0
     val = (Fraction(n) ** (n - alpha - 2)
            * Fraction(math.factorial(n), math.factorial(alpha))
            * (stirling2(alpha, n - alpha) + alpha * stirling2(alpha - 1, n - alpha)))
@@ -107,8 +104,7 @@ def count_independence(n: int, alpha: int) -> int:
 
 def independence_table(n: int) -> DistributionTable:
     """Distribution of the independence number over uniform unrooted trees."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    _check_positive(n, "n")
     counts = {a: count_independence(n, a) for a in range(1, n + 1)}
     counts = {a: c for a, c in counts.items() if c}
     table = DistributionTable(family="uniform-unrooted", parameter="independence",
@@ -120,8 +116,7 @@ def independence_table(n: int) -> DistributionTable:
 
 def expected_alpha(n: int) -> Fraction:
     """Exact mean independence number of a uniform labelled tree on n vertices."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    _check_positive(n, "n")
     return sum(Fraction(math.comb(n, k)) * Fraction(-k, n) ** (k - 1)
                for k in range(1, n + 1))
 
@@ -133,8 +128,7 @@ def count_full_binary(m: int, alpha: int) -> int:
     whose coupon read stops at alpha.  Two factorial products; reciprocal
     factorials kill the terms outside the support.
     """
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
+    _check_positive(m, "m")
     if not (1 <= alpha <= 2 * m):
         return 0
     fm = Fraction(math.factorial(m))
@@ -153,8 +147,7 @@ def count_full_binary(m: int, alpha: int) -> int:
 
 
 def full_binary_table(m: int) -> DistributionTable:
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
+    _check_positive(m, "m")
     counts = {a: count_full_binary(m, a) for a in range(1, 2 * m + 1)}
     counts = {a: c for a, c in counts.items() if c}
     table = DistributionTable(family="full-binary-deck", parameter="independence",
@@ -171,16 +164,19 @@ def all_codes(n: int):
 
 
 def _check_budget(n: int):
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    _check_positive(n, "n")
     if n > _ENUM_BUDGET:
         raise ValueError(
             f"enumeration budget exceeded: n={n} means {n}^{n - 1} sequences, "
             f"capped at n <= {_ENUM_BUDGET}")
 
 
-_ROOTED_PARAMETERS = ("independence", "matching", "path_edges", "path_cover",
-                      "capacity_edges")
+# Each rooted parameter as (capacity b, complemented): the capacity-edge count
+# at b, or n minus it.  At b=1 the count is the matching number, at b=2 the path
+# edges; capacity_edges takes b from the caller.
+_ROOTED_PARAMETERS = {"independence": (1, True), "matching": (1, False),
+                      "path_edges": (2, False), "path_cover": (2, True),
+                      "capacity_edges": (None, False)}
 
 
 def exact_rooted_distribution(n: int, parameter: str = "independence",
@@ -195,14 +191,10 @@ def exact_rooted_distribution(n: int, parameter: str = "independence",
     check of those rules.  b only matters for capacity_edges.
     """
     if parameter not in _ROOTED_PARAMETERS:
-        raise ValueError(f"unknown parameter {parameter!r}, expected one of {_ROOTED_PARAMETERS}")
+        raise ValueError(f"unknown parameter {parameter!r}, not one of {[*_ROOTED_PARAMETERS]}")
     _check_budget(n)
-
-    # each parameter is the capacity-edge count at some b, or n minus it: at
-    # b=1 the count is the matching number and n minus it the independence
-    # number, at b=2 it is the path edges and n minus it the path cover
-    variant = Variant({"capacity_edges": b, "path_edges": 2, "path_cover": 2}.get(parameter, 1))
-    complement = parameter in ("independence", "path_cover")
+    cap, complement = _ROOTED_PARAMETERS[parameter]
+    variant = Variant(cap or b)
     # the one-vertex tree has no Prüfer code, and its slither code is empty
     codes = [()] if n == 1 else (d + (n,) for d in product(range(1, n + 1), repeat=n - 2))
     prufer = Variant(n)

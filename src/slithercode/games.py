@@ -26,7 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from .codec import decode_sequence, prefix_alpha, prufer_decode
-from .trees import NORMAL, RootedTree, Variant, _strict_int
+from .trees import NORMAL, RootedTree, Variant, _check_positive, _strict_int
 
 _MASK64 = (1 << 64) - 1
 
@@ -65,8 +65,7 @@ def coupon_read(sequence, n: int) -> int:
 
 def dice_deal(n: int, rng: np.random.Generator) -> np.ndarray:
     """n-1 throws of an n-sided die; as a code they are a uniform rooted tree."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    _check_positive(n, "n")
     return rng.integers(1, n + 1, size=n - 1)
 
 
@@ -90,8 +89,7 @@ class Deck:
     def __post_init__(self):
         mult = tuple(_strict_int(m, "multiplicity") for m in self.multiplicities)
         object.__setattr__(self, "multiplicities", mult)
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
+        _check_positive(self.n, "n")
         if len(mult) != self.n:
             raise ValueError(f"need one multiplicity per card 1..{self.n}, got {len(mult)}")
         if any(m < 0 for m in mult):
@@ -113,8 +111,7 @@ class Deck:
     @classmethod
     def full_binary(cls, m: int) -> "Deck":
         """Two cards of each of 1..m, none of m+1..2m+1; n = 2m+1."""
-        if m < 1:
-            raise ValueError(f"m must be >= 1, got {m}")
+        _check_positive(m, "m")
         return cls(n=2 * m + 1, multiplicities=(2,) * m + (0,) * (m + 1))
 
 
@@ -131,8 +128,7 @@ def full_binary_m(n: int) -> int:
 
 def full_binary_deal(m: int, rng: np.random.Generator) -> np.ndarray:
     """Shuffled deck of two cards of each of 1..m: the cards of Deck.full_binary(m)."""
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
+    _check_positive(m, "m")
     return rng.permutation(np.repeat(np.arange(1, m + 1), 2))
 
 
@@ -146,8 +142,7 @@ def binary_lr_deal(n: int, rng: np.random.Generator) -> np.ndarray:
     Models uniform binary trees with distinguished left/right children; the
     n+1 undealt cards are the free attachment slots.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    _check_positive(n, "n")
     return rng.permutation(2 * n)[: n - 1] // 2 + 1
 
 
@@ -166,8 +161,7 @@ def plane_deal(n: int, rng: np.random.Generator) -> np.ndarray:
     its children ordered, so the coupon rule on (b_1, ..., b_{n-1}) samples
     the independence number of a uniform plane tree on n vertices.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    _check_positive(n, "n")
     perm = rng.permutation(2 * n - 2)
     is_black = perm >= n - 1
     blacks_before = np.cumsum(is_black) - is_black
@@ -207,8 +201,7 @@ def sample_uniform_rooted_tree(n: int, variant: Variant = NORMAL,
 
 def sample_uniform_labelled_tree(n: int, rng: np.random.Generator | None = None):
     """Uniform unrooted labelled tree as a sorted edge list, via Prufer."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    _check_positive(n, "n")
     if rng is None:
         rng = RandomSource(fresh_seed()).trial_rng(0)
     if n == 1:
@@ -265,10 +258,8 @@ class TrialHistogram:
                    trials=_strict_int(d["trials"], "trials"), seed=_strict_int(d["seed"], "seed"),
                    counts={_strict_int(v, "count key"): _strict_int(c, "count")
                            for v, c in d["counts"].items()})
-        if hist.n < 1:
-            raise ValueError(f"n must be >= 1, got {hist.n}")
-        if hist.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {hist.trials}")
+        _check_positive(hist.n, "n")
+        _check_positive(hist.trials, "trials")
         for v, c in hist.counts.items():
             if c < 0:
                 raise ValueError(f"counts must be >= 0, got {c} for value {v}")
@@ -287,8 +278,7 @@ def run_trials(trial, trials: int, seed: int, *, n: int, parameter: str,
     """
     if threads not in (None, 1):
         raise ValueError(f"threads must be 1, trials run on one thread; got {threads}")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    _check_positive(trials, "trials")
     source = RandomSource(seed)
     counts = Counter(trial(source.trial_rng(i)) for i in range(trials))
     return TrialHistogram(parameter=parameter, n=n, trials=trials, seed=seed,

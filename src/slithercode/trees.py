@@ -32,14 +32,28 @@ class TreeError(ValueError):
     """Raised when input fails to describe a rooted tree on 1..n."""
 
 
+def _cut(text: str, width: int = 80) -> str:
+    """text, cut in the middle to width characters when it is longer."""
+    head = width // 2
+    return text if len(text) <= width else f"{text[:head]}...{text[head + 3 - width:]}"
+
+
 def _echo(value) -> str:
     """repr(value) for an error message, cut in the middle past 80 characters.
 
     Messages echo outside input, which can be of any size; a shorter repr
     is kept whole, so the message is the same as with !r.
     """
-    text = repr(value)
-    return text if len(text) <= 80 else f"{text[:40]}...{text[-37:]}"
+    try:
+        return _cut(repr(value))
+    except RecursionError:  # a JSON value nested deeper than repr can walk
+        return f"<{type(value).__name__} nested too deeply to show>"
+
+
+def _check_positive(value: int, what: str) -> None:
+    """Raise ValueError unless value >= 1, as every size argument requires."""
+    if value < 1:
+        raise ValueError(f"{what} must be >= 1, got {value}")
 
 
 # An integer in text: an optional sign, then ASCII digits.  int() also takes
@@ -398,14 +412,14 @@ def classify(tree: RootedTree, variant: Variant = NORMAL) -> PositionMap:
     return PositionMap(variant=variant, n=tree.n, p_child_count=pcount)
 
 
-def independence_number(tree: RootedTree) -> int:
-    """|P| under the normal variant; equals the maximum independent set size."""
-    return len(classify(tree, NORMAL).p_set())
-
-
 def matching_number(tree: RootedTree) -> int:
-    """n - independence number; equals the maximum matching size."""
-    return tree.n - independence_number(tree)
+    """The capacity count at b=1, the number of N-vertices; equals the maximum matching size."""
+    return classify(tree, NORMAL).capacity_edges()
+
+
+def independence_number(tree: RootedTree) -> int:
+    """n - matching number, which is |P| under b=1; equals the maximum independent set size."""
+    return tree.n - matching_number(tree)
 
 
 def matching_certificate(tree: RootedTree) -> StrategicSet:
@@ -538,8 +552,7 @@ def bf_max_capacity_edges(tree: RootedTree, b: int) -> int:
     n = tree.n
     if n > _BF_EDGES_LIMIT:
         raise ValueError(f"brute force capped at n <= {_BF_EDGES_LIMIT}, got {n}")
-    if b < 1:
-        raise ValueError(f"capacity must be >= 1, got {b}")
+    _check_positive(b, "capacity")
     incident = [0] * (n + 1)  # bit i set when edge i meets the vertex
     for i, (c, p) in enumerate(tree.parent.items()):
         incident[c] |= 1 << i

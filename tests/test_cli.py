@@ -6,9 +6,11 @@ import os
 import subprocess
 import sys
 import threading
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from slithercode import cli, constants, full_binary_table, games
 from slithercode.codec import decode_sequence
@@ -447,6 +449,112 @@ def test_long_code_with_one_bad_symbol_gives_a_short_error(capsys, tmp_path):
     rc, out, err = run_cli(capsys, "decode", "--variant", "normal", str(path))
     assert rc == 2 and out == ""
     assert len(err.encode()) < 200 and "1.5" in err and "50000" in err
+
+
+def nested(depth: int) -> str:
+    return "[" * depth + "]" * depth
+
+
+DEEP = nested(10**5)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ("params", f'{{"n": 3, "parent": {DEEP}}}'),
+        ("decode", "--variant", "normal", f'{{"symbols": {DEEP}}}'),
+    ),
+    ids=("params", "decode"),
+)
+def test_deeply_nested_json_exits_2(capsys, argv):
+    # the JSON decoder's RecursionError was reported as an internal error
+    rc, out, err = run_cli(capsys, *argv)
+    assert (rc, out) == (2, "")
+    assert err == "error: JSON input nests arrays or objects too deeply to read\n"
+
+
+def test_json_nested_near_the_recursion_limit_exits_2(capsys):
+    # a value the decoder can read may still be too deep for repr to echo
+    limit = sys.getrecursionlimit()
+    for depth in range(limit - 120, limit + 5):
+        for argv in (("decode", "--variant", "normal", f'{{"symbols": [1, {nested(depth)}]}}'),
+                     ("params", f'{{"n": 3, "parent": [[2, {nested(depth)}]]}}')):
+            rc, out, err = run_cli(capsys, *argv)
+            assert (rc, out) == (2, ""), (depth, err)
+            assert len(err.encode()) < 200
+
+
+def argparse_exit(capsys, *argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    return exc.value.code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ("--variant", "--n"))
+def test_argparse_errors_are_cut_like_library_errors(capsys, flag):
+    # argparse echoed the whole value, 100 kB on stderr
+    variant = ("--variant", "normal") if flag == "--n" else ()
+    code, err = argparse_exit(capsys, "decode", "1 1", *variant, flag, "x" * 10**5)
+    assert code == 2 and len(err.encode()) < 1000 and "xxx...xxx" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    (
+        (("decode", "1 1", "--variant", "normal", "--n", "x"),
+         "slithercode decode: error: argument --n: invalid int value: 'x'"),
+        (("frobnicate",),
+         "slithercode: error: argument command: invalid choice: 'frobnicate' (choose from "
+         "'encode', 'decode', 'params', 'read', 'sample', 'simulate', 'enumerate', "
+         "'constants', 'clt', 'verify')"),
+    ),
+)
+def test_argparse_errors_about_short_values_stay_whole(capsys, argv, message):
+    code, err = argparse_exit(capsys, *argv)
+    assert code == 2 and err.endswith(f"\n{message}\n")
+
+
+def test_a_key_error_is_an_internal_failure(capsys, monkeypatch):
+    # no input reaches a KeyError, so one is a bug, not bad input
+    def broken(args):
+        raise KeyError("lost")
+    monkeypatch.setattr(cli, "cmd_params", broken)
+    rc, out, err = run_cli(capsys, "params", "1 1")
+    assert (rc, out, err) == (1, "", "internal error: KeyError('lost')\n")
+
+
+# Inputs for the parser property: JSON objects with the keys the formats
+# read, and text rows of integer-like and other tokens.
+KEYS = ("n", "root", "parent", "symbols", "variant")
+SCALARS = (st.none() | st.booleans() | st.integers(-2, 12) | st.integers()
+           | st.floats(allow_nan=False) | st.text(max_size=4)
+           | st.sampled_from(("1", " 2", "normal", "comply", "b=3", "b=0")))
+JSON_VALUES = st.recursive(
+    SCALARS,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.sampled_from(KEYS) | st.text(max_size=2), inner,
+                                     max_size=4)),
+    max_leaves=10)
+TOKENS = (st.integers(-2, 12).map(str)
+          | st.sampled_from(("normal", "comply", "b=3", "x", "1.5", "1_0", "#", "10**6")))
+ROWS = st.lists(st.lists(TOKENS, max_size=4).map(" ".join), max_size=6).map("\n".join)
+INPUTS = (st.dictionaries(st.sampled_from(KEYS), JSON_VALUES, max_size=5).map(json.dumps)
+          | ROWS | st.text(max_size=30))
+
+
+@given(st.sampled_from(("decode", "read", "encode", "params")),
+       st.sampled_from(("normal", "comply", "b=3")), INPUTS)
+@settings(max_examples=200, deadline=None)
+@example("params", "normal", f'{{"n": {DEEP}}}')
+def test_parsers_exit_0_or_2_on_any_input(command, variant, text):
+    assume(text != "-" and not os.path.exists(text))  # not stdin or a file
+    argv = [command, text, *(("--variant", variant) if command != "params" else ())]
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
+        try:
+            rc = cli.main(argv)
+        except SystemExit as exc:  # argparse refused the arguments
+            rc = exc.code
+    assert rc in (0, 2), err.getvalue()
 
 
 def test_unknown_subcommand_exits_via_argparse():

@@ -2,7 +2,8 @@
 
 No linter is a dependency, so these catch what a deletion leaves behind: an
 export whose definition is gone, or an import that nothing uses any more.
-One more keeps the command line drawing every family through games.DEALS.
+One more keeps the command line drawing every family through games.DEALS,
+and every game through one coupon_read line.
 """
 
 import ast
@@ -55,7 +56,7 @@ def test_module_uses_every_name_it_imports(path):
 def test_cli_draws_every_family_through_the_deal_table():
     per_family = {f"{family.replace('-', '_')}_{kind}"
                   for family in games.DEALS for kind in ("deal", "trial")}
-    per_family.add("sample_uniform_rooted_tree")
+    per_family |= {"sample_uniform_rooted_tree", "card_trial"}
     named = {node.attr for node in ast.walk(parse(PACKAGE / "cli.py"))
              if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
              and node.value.id == "games"}

@@ -5,7 +5,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from slithercode import (
     COMPLY,
@@ -162,12 +162,13 @@ def outcome(build):
 
 @given(mutated_parent_entries(), st.sampled_from(("pairs", "dict", "str-keys", "text")))
 @settings(max_examples=400)
+@example(case=(1, 1, None, [(" 1 ", 1)]), form="text")  # the row " 1  1" holds 1 and 1
 def test_bulk_validation_agrees_with_the_per_entry_loop(case, form):
     n, root, declared, pairs = case
     if form == "text":  # the text always declares a root
         declared = str(root if declared is None else declared)
-        pairs = [(str(c), str(p)) for c, p in pairs]
         text = f"{n} {declared}\n" + "".join(f"{c} {p}\n" for c, p in pairs)
+        pairs = [tuple(f"{c} {p}".split()) for c, p in pairs]  # the tokens the text holds
         build = lambda: parse_tree(text)
     else:
         if form != "pairs":
