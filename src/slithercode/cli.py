@@ -24,8 +24,8 @@ import sys
 
 from . import asymptotics, codec, counting, games, trees, verify
 from .codec import CodeError, SlitherCode
-from .trees import (NORMAL, TreeError, Variant, _INT_TEXT, _check_positive, _cut, _echo,
-                    _strict_int, validate_tree)
+from .trees import (NORMAL, TreeError, Variant, _INT_TEXT, _bulk_ints, _check_positive, _cut,
+                    _echo, _strict_int, validate_tree)
 
 # --- serialization ----------------------------------------------------------
 
@@ -64,6 +64,10 @@ def parse_tree(text: str) -> trees.RootedTree:
     stripped = text.lstrip()
     if stripped.startswith("{"):
         return validate_tree(_load_json(stripped))
+    ints = _bulk_ints(text, pairs=True)
+    if ints is not None and len(ints):  # plain rows of 2 tokens; the rest reads below
+        return validate_tree({"n": int(ints[0]), "root": int(ints[1]),
+                              "parent": ints[2:].reshape(-1, 2)})
     rows = _rows(text)
     if not rows:
         raise TreeError("empty tree input")
@@ -106,7 +110,9 @@ def parse_code(text: str, variant: Variant, n_flag: int | None) -> SlitherCode:
                 header_n = int(head[0])
                 header_variant = Variant.parse(head[1])
                 rows = rows[1:]
-        symbols = " ".join(rows).split()  # SlitherCode reads the tokens strictly
+        body = "\n".join(rows)
+        ints = _bulk_ints(body)  # on None, SlitherCode reads the tokens strictly
+        symbols = body.split() if ints is None else ints.tolist()
     if header_variant is not None and header_variant != variant:
         raise CodeError(
             f"input declares variant {header_variant.name}, --variant says {variant.name}")
@@ -190,15 +196,16 @@ def cmd_params(args) -> int:
         "path_cover": tree.n - path_edges,
         "b": b,
         "capacity_edges": trees.max_capacity_edges(tree, b),
-        "classification": {"normal": pm_normal.labels(), "comply": pm_comply.labels()},
     }
     if args.format == "json":
-        emit_json(out)
+        emit_json({**out, "classification": {"normal": pm_normal.labels(),
+                                             "comply": pm_comply.labels()}})
     else:
-        emit_kv({k: v for k, v in out.items() if k != "classification"})
-        for name, labs in out["classification"].items():
-            row = " ".join(map("{}:{}".format, labs, labs.values()))
-            print(f"classification[{name}]: {row}")
+        emit_kv(out)
+        for name, pm in (("normal", pm_normal), ("comply", pm_comply)):
+            cells = [0] * (2 * tree.n)
+            cells[::2], cells[1::2] = range(1, tree.n + 1), pm.label_list()
+            print(f"classification[{name}]: " + " ".join(["%d:%s"] * tree.n) % tuple(cells))
     return 0
 
 

@@ -178,12 +178,39 @@ def _strict_ints(values, what: str):
     return out
 
 
+def _bulk_ints(text: str, pairs: bool = False):
+    """Every token of text as an int64 array, or None when the token path must read it.
+
+    Only text of ASCII digits, spaces, tabs and newlines, with no token over
+    18 digits and, with pairs, 0 or 2 tokens on every line, is read here:
+    str.split and str.splitlines cut it the same way, and int() of each
+    token gives the array.  np.fromstring clamps overflow, reads signs and
+    stops silently at other characters, hence the checks first.
+    """
+    b = np.frombuffer(text.encode(), dtype=np.uint8)
+    digit = b - np.uint8(48) < 10  # wraps below "0"
+    if not (digit | (b == 32) | (b == 9) | (b == 10)).all():
+        return None
+    edges = np.flatnonzero(np.diff(digit, prepend=False, append=False))
+    starts, ends = edges[::2], edges[1::2]  # each token's first and past-last byte
+    if not len(starts):
+        return np.zeros(0, dtype=np.int64)
+    if (ends - starts).max() > 18:
+        return None
+    if pairs:
+        per_line = np.bincount(np.searchsorted(np.flatnonzero(b == 10), starts))
+        if not np.isin(per_line, (0, 2)).all():
+            return None
+    return np.fromstring(text, dtype=np.int64, sep=" ")
+
+
 def validate_tree(data) -> RootedTree:
     """Build a RootedTree from a dict, a (n, root, parent) triple, or pairs.
 
     Accepted dict form: {"n": int, "root": int optional, "parent": {child: parent}}
     with string or int keys (JSON round-trips produce strings).  A list of
-    (child, parent) pairs is also accepted in place of the parent dict.
+    (child, parent) pairs, or an integer array of them, is also accepted in
+    place of the parent dict.
     Raises TreeError naming the defect: a parent that is neither a map nor
     pairs, label out of range, duplicate parent entry, multiple roots (past
     10, the first 10 and their count), root mismatch, or a cycle.  Valid
@@ -207,6 +234,9 @@ def validate_tree(data) -> RootedTree:
     raw = data.get("parent", {})
     if isinstance(raw, dict):
         kids, pars = list(raw), list(raw.values())
+    elif isinstance(raw, np.ndarray) and raw.ndim == 2 and raw.shape[1] == 2 \
+            and raw.dtype.kind in "iu":
+        kids, pars = raw[:, 0], raw[:, 1]
     else:
         try:
             entries = iter(raw)
@@ -225,22 +255,23 @@ def validate_tree(data) -> RootedTree:
     return tree if tree is not None else _tree_by_entry(n, zip(kids, pars), declared)
 
 
-def _bulk_tree(n: int, kids: list, pars: list, declared) -> RootedTree | None:
+def _bulk_tree(n: int, kids, pars, declared) -> RootedTree | None:
     """The tree when every check passes, None when any fails.
 
-    Range and duplicates are checked in numpy; the root is the one label
-    that is not a child, and the walk for cycles, self-parents included, is
-    pointer doubling: after k rounds up[v] is v's ancestor 2^k steps up, or
-    the root, so every vertex reaches the root within n.bit_length() rounds
-    unless a cycle holds it.
+    kids and pars are int64 columns; lists are read through _strict_ints
+    first.  Range and duplicates are checked in numpy; the root is the one
+    label that is not a child, and the walk for cycles, self-parents
+    included, is pointer doubling: after k rounds up[v] is v's ancestor 2^k
+    steps up, or the root, so every vertex reaches the root within
+    n.bit_length() rounds unless a cycle holds it.
     """
-    if not kids or len(kids) != n - 1:
+    if n == 1 or len(kids) != n - 1:
         return None
     try:
-        kids, pars = _strict_ints(kids, "label"), _strict_ints(pars, "label")
+        c, p = (np.asarray(x if isinstance(x, np.ndarray) else _strict_ints(x, "label"),
+                           dtype=np.int64) for x in (kids, pars))
         if declared is not None:
             declared = _strict_int(declared)
-        c, p = np.array(kids, dtype=np.int64), np.array(pars, dtype=np.int64)
     except (ValueError, OverflowError):
         return None
     if min(c.min(), p.min()) < 1 or max(c.max(), p.max()) > n:
@@ -257,7 +288,7 @@ def _bulk_tree(n: int, kids: list, pars: list, declared) -> RootedTree | None:
         up = up[up]
     if (up[1:] != root).any():
         return None
-    return RootedTree(n=n, root=root, parent=dict(zip(kids, pars)))
+    return RootedTree(n=n, root=root, parent=dict(zip(c.tolist(), p.tolist())))
 
 
 def _tree_by_entry(n: int, pairs, declared) -> RootedTree:
@@ -348,16 +379,21 @@ class PositionMap:
         pc = self.p_child_count
         return frozenset(v for v in range(1, self.n + 1) if pc[v] == k and self.is_p(v))
 
+    def names(self) -> list[str]:
+        """The naming table: a vertex with P-child count c is names()[min(c, b)]."""
+        b = self.variant.b
+        return (["P"] if b == 1 else [f"P{c}" for c in range(b)]) + ["N"]
+
     def label(self, v: int) -> str:
-        c = self.p_child_count[v]
-        if c > self.variant.b - 1:
-            return "N"
-        if self.variant.b == 1:
-            return "P"
-        return f"P{c}"
+        return self.names()[min(self.p_child_count[v], self.variant.b)]
+
+    def label_list(self) -> list[str]:
+        """label(v) for v = 1..n, in order."""
+        names = self.names() + ["N"] * self.n  # a count is below n, so no min is needed
+        return list(map(names.__getitem__, islice(self.p_child_count, 1, None)))
 
     def labels(self) -> dict[int, str]:
-        return {v: self.label(v) for v in range(1, self.n + 1)}
+        return dict(zip(range(1, self.n + 1), self.label_list()))
 
     def capacity_edges(self) -> int:
         """Largest edge set in which every vertex has degree <= b.
@@ -460,12 +496,15 @@ def strategic_set(tree: RootedTree, b: int) -> StrategicSet:
     """
     n, root, parent = tree.n, tree.root, tree.parent
     pcount = classify(tree, Variant(b)).p_child_count
-    pkids: list[list[int]] = [[] for _ in range(n + 1)]
-    for c in range(1, n + 1):  # ascending, so each list comes out sorted
+    taken, edges = [0] * (n + 1), []
+    for c in range(1, n + 1):  # ascending, so each vertex takes its smallest first
         if c != root and pcount[c] < b:
-            pkids[parent[c]].append(c)
-    edges = tuple((v, c) for v in range(1, n + 1) for c in pkids[v][:b])
-    return StrategicSet(b=b, edges=edges)
+            v = parent[c]
+            if taken[v] < b:
+                taken[v] += 1
+                edges.append((v, c))
+    edges.sort()
+    return StrategicSet(b=b, edges=tuple(edges))
 
 
 def path_cover_decomposition(tree: RootedTree) -> list[list[int]]:

@@ -8,12 +8,13 @@ import sys
 import threading
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from slithercode import cli, constants, full_binary_table, games
-from slithercode.codec import decode_sequence
+from slithercode.codec import SlitherCode, decode_sequence
 from slithercode.trees import COMPLY, NORMAL
 
 FIG1_ARG = "3 1 4 1 5 9 2 6 5"
@@ -441,6 +442,30 @@ def test_integer_text_is_a_sign_and_ascii_digits(capsys, argv, message):
     assert (rc, out, err) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    (
+        (("decode", "--variant", "normal", "4 normal\n99999999999999999999 1 1"),
+         "symbol 99999999999999999999 out of range 1..4"),
+        (("decode", "--variant", "normal", "4 normal\n1.5 1 1"),
+         "non-integer symbol '1.5' at index 0"),
+        (("read", "--variant", "normal", "1 1.5 1"), "non-integer symbol '1.5' at index 1"),
+    ),
+)
+def test_code_text_the_bulk_reader_refuses_keeps_its_message(capsys, argv, message):
+    # np.fromstring would clamp the long symbol to 2**63 - 1 and stop at the "."
+    rc, out, err = run_cli(capsys, *argv)
+    assert (rc, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "text", ("4 normal\n+3 002 4", "4 normal\n3\t002\t+4\n", "+3\t2 004", "3\t2\t4"))
+def test_signed_padded_and_tabbed_symbols_read_as_tokens_read(text):
+    with mock.patch.object(cli, "_bulk_ints", lambda *args, **kwargs: None):
+        tokens = cli.parse_code(text, NORMAL, None)
+    assert cli.parse_code(text, NORMAL, None) == tokens == SlitherCode(4, NORMAL, (3, 2, 4))
+
+
 def test_long_code_with_one_bad_symbol_gives_a_short_error(capsys, tmp_path):
     symbols = [1] * 99_997
     symbols[50_000] = 1.5
@@ -535,8 +560,9 @@ JSON_VALUES = st.recursive(
                    | st.dictionaries(st.sampled_from(KEYS) | st.text(max_size=2), inner,
                                      max_size=4)),
     max_leaves=10)
+NON_INTEGRAL = ("1.5", "1e3", "0x1", "\u0661", "1_0", "10**6")
 TOKENS = (st.integers(-2, 12).map(str)
-          | st.sampled_from(("normal", "comply", "b=3", "x", "1.5", "1_0", "#", "10**6")))
+          | st.sampled_from(("normal", "comply", "b=3", "x", "#", *NON_INTEGRAL)))
 ROWS = st.lists(st.lists(TOKENS, max_size=4).map(" ".join), max_size=6).map("\n".join)
 INPUTS = (st.dictionaries(st.sampled_from(KEYS), JSON_VALUES, max_size=5).map(json.dumps)
           | ROWS | st.text(max_size=30))
@@ -555,6 +581,9 @@ def test_parsers_exit_0_or_2_on_any_input(command, variant, text):
         except SystemExit as exc:  # argparse refused the arguments
             rc = exc.code
     assert rc in (0, 2), err.getvalue()
+    if not text.lstrip().startswith("{"):  # text: a number that is not an integer is refused
+        tokens = " ".join(ln.split("#", 1)[0] for ln in text.splitlines()).split()
+        assert rc != 0 or not set(tokens) & set(NON_INTEGRAL), tokens
 
 
 def test_unknown_subcommand_exits_via_argparse():

@@ -61,3 +61,9 @@ def test_cli_draws_every_family_through_the_deal_table():
              if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
              and node.value.id == "games"}
     assert not named & per_family, f"cli.py bypasses games.DEALS: {named & per_family}"
+
+
+def test_integer_text_has_one_bulk_reader():
+    calls = [(path.name, node.lineno) for path in MODULES for node in ast.walk(parse(path))
+             if isinstance(node, ast.Attribute) and node.attr == "fromstring"]
+    assert len(calls) == 1, f"np.fromstring should occur once in the package: {calls}"

@@ -2,6 +2,7 @@
 
 import itertools
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from slithercode import (
     validate_tree,
 )
 
+from slithercode import cli
 from slithercode.cli import parse_tree
 from slithercode.trees import _bulk_tree, _tree_by_entry
 
@@ -182,6 +184,47 @@ def test_bulk_validation_agrees_with_the_per_entry_loop(case, form):
     assert outcome(build) == want
     if n > 1 and not isinstance(want, str):  # valid input never needs the per-entry loop
         assert _bulk_tree(n, [c for c, _ in pairs], [p for _, p in pairs], declared) == want[0]
+
+
+# Text the bulk reader must leave to the token path, or read as it reads:
+# separators str.splitlines breaks on, signs, long tokens, odd rows, comments.
+SEPARATORS = (" ", "  ", "\t", "\r", "\x0b", "\x0c")
+ENDINGS = ("\n", "\r\n", "\r", "\x0b", "\x0c", " \n", "\t\n", "\n\n", "\n \n")
+TOKEN_EDITS = {"zeros": "00{}".format, "plus": "+{}".format, "minus": "-{}".format,
+               "19 digits": lambda t: "1" + t.rjust(18, "0")[-18:],
+               "20 digits": lambda t: "9" * 20, "comment": "{} # note".format}
+
+
+@st.composite
+def tree_texts(draw):
+    """Tree text from mutated entries, written with odd separators, tokens and rows."""
+    n, root, declared, pairs = draw(mutated_parent_entries())
+    rows = [[str(n), str(root if declared is None else declared)]]
+    rows += [[str(c), str(p)] for c, p in pairs]
+    plain = draw(st.booleans())  # spaces and newlines only, for the bulk reader to take
+    for _ in range(draw(st.integers(0, 1 if plain else 3))):
+        row = draw(st.sampled_from(rows))
+        edit = draw(st.sampled_from((*TOKEN_EDITS, "drop", "extra")))
+        if edit == "drop" and row:
+            del row[draw(st.integers(0, len(row) - 1))]
+        elif edit == "extra":
+            row.insert(draw(st.integers(0, len(row))), str(draw(st.integers(0, n + 1))))
+        elif row:
+            i = draw(st.integers(0, len(row) - 1))
+            row[i] = TOKEN_EDITS[edit](row[i])
+    text = "".join((" " if plain else draw(st.sampled_from(SEPARATORS))).join(row)
+                   + ("\n" if plain else draw(st.sampled_from(ENDINGS))) for row in rows)
+    return draw(st.sampled_from(("", "\n", " \t\n", *(() if plain else ("# head\n",))))) + text
+
+
+@given(tree_texts())
+@settings(max_examples=300)
+@example(text="3 1\n2\r1\n3 1\n")  # a lone CR splits the row in two
+@example(text="2 1\n99999999999999999999 1\n")  # np.fromstring would clamp the label
+def test_bulk_text_reader_agrees_with_the_token_path(text):
+    with mock.patch.object(cli, "_bulk_ints", lambda *args, **kwargs: None):
+        want = outcome(lambda: parse_tree(text))
+    assert outcome(lambda: parse_tree(text)) == want
 
 
 # --- variants ---------------------------------------------------------------
