@@ -9,7 +9,9 @@ changes what a user sees fails here first.  The sizes are small (n <= 200,
 
 The digests pin decode, encode and params output at n = 2000, well past the
 exhaustive sweeps (n <= 7), where many parents become ready behind the
-pruning scan's pointer.
+pruning scan's pointer.  They also pin the closed-form tables (the
+independence law at n = 40 and 60, the full-binary deck law at n = 41),
+whose counts run to 80 digits.
 """
 
 import hashlib
@@ -464,3 +466,20 @@ def test_golden_params_n2000(capsys, b, seed, text_digest, json_digest):
     for fmt, digest in (("text", text_digest), ("json", json_digest)):
         assert cli.main(["params", tree_text, "--format", fmt]) == 0
         assert _sha256(capsys.readouterr().out) == digest
+
+
+# sha256 of the stdout of each closed-form table, 0.8 to 3.2 KB of text.
+CLOSED_FORM_DIGESTS = (
+    ("enumerate --n 60", "8662e146015c1e66a88f6124d8704a1a7b8513793049d22d99dae6865087b9e5"),
+    ("enumerate --n 40 --format json",
+     "7b1027fe054fb3cbf55361e1555f9dd13ab4f69dc0f7e60bf9b9568355383b31"),
+    ("enumerate --family full-binary --n 41 --format json",
+     "37eda6aba6c6b7448581ebd4ba2c6ce91ae28ae40cadaad5e8a795821011a2dd"),
+)
+
+
+@pytest.mark.parametrize("argv, digest", CLOSED_FORM_DIGESTS,
+                         ids=[a for a, _ in CLOSED_FORM_DIGESTS])
+def test_golden_closed_form(capsys, argv, digest):
+    assert cli.main(argv.split()) == 0
+    assert _sha256(capsys.readouterr().out) == digest
