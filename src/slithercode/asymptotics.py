@@ -17,12 +17,13 @@ from dataclasses import asdict, dataclass, fields
 from .games import dice_trial, run_trials
 
 
-def solve_fixed_point(g, lo: float = 0.0, hi: float = 1.0, tol: float = 1e-14) -> float:
-    """Solve t = g(t) on [lo, hi] by bisection down to adjacent floats.
+def solve_fixed_point(g) -> float:
+    """Solve t = g(t) on [0, 1] by bisection down to adjacent floats.
 
     Requires t - g(t) to change sign across the bracket.  Returns the end
-    with the smaller |t - g(t)|, and guarantees |t - g(t)| <= tol.
+    with the smaller |t - g(t)|, and guarantees |t - g(t)| <= 1e-14.
     """
+    lo, hi = 0.0, 1.0
     f = lambda t: t - g(t)
     flo, fhi = f(lo), f(hi)
     if flo == 0.0:
@@ -43,7 +44,7 @@ def solve_fixed_point(g, lo: float = 0.0, hi: float = 1.0, tol: float = 1e-14) -
         else:
             lo, flo = mid, fm
     t, ft = (lo, flo) if abs(flo) <= abs(fhi) else (hi, fhi)
-    if abs(ft) > tol:
+    if abs(ft) > 1e-14:
         raise ArithmeticError(f"fixed point not converged: residual {ft:.3e}")
     return t
 

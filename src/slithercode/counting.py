@@ -24,7 +24,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 
 from . import games
 from .codec import SlitherCode, slither_decode
@@ -35,52 +35,55 @@ _ENUM_BUDGET = 7  # n^(n-2) tree and n^(n-1) throw sweeps stay interactive up to
 
 @dataclass(frozen=True)
 class DistributionTable:
-    """Exact counts of a parameter over a finite tree family."""
+    """Exact counts of a parameter over a tree family of total members.  The
+    nonzero counts are kept in value order and must sum to total."""
 
     family: str
     parameter: str
     n: int
     counts: dict[int, int]
+    total: int
 
-    @property
-    def total(self) -> int:
-        return sum(self.counts.values())
+    def __post_init__(self):
+        counts = {v: c for v, c in sorted(self.counts.items()) if c}
+        got = sum(counts.values())
+        if got != self.total:
+            raise AssertionError(f"{self.family} {self.parameter} counts for n={self.n} "
+                                 f"sum to {got}, expected {self.total}")
+        object.__setattr__(self, "counts", counts)
 
     def probabilities(self) -> dict[int, float]:
-        t = self.total
-        return {v: c / t for v, c in sorted(self.counts.items())}
+        return {v: c / self.total for v, c in self.counts.items()}
 
     def mean(self) -> Fraction:
         return Fraction(sum(v * c for v, c in self.counts.items()), self.total)
 
     def to_json_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "parameter": self.parameter,
-            "n": self.n,
-            "total": str(self.total),
-            "counts": {str(v): str(c) for v, c in sorted(self.counts.items())},
-            "probabilities": {str(v): c / self.total
-                              for v, c in sorted(self.counts.items())},
-        }
+        return {"family": self.family, "parameter": self.parameter, "n": self.n,
+                "total": str(self.total),
+                "counts": {str(v): str(c) for v, c in self.counts.items()},
+                "probabilities": {str(v): p for v, p in self.probabilities().items()}}
 
 
-_stirling_rows: list[list[int]] = [[1]]  # row m holds S(m, 0..m)
+def _stirling_triangle():
+    """The rows S(m, 0..m) for m = 0, 1, 2, ..., holding only the current one."""
+    row = [1]
+    while True:
+        yield row
+        row = [0, *(k * row[k] + row[k - 1] for k in range(1, len(row))), 1]
 
 
 def stirling2(m: int, k: int) -> int:
-    """Stirling partition number S(m, k), memoized row by row."""
+    """Stirling partition number S(m, k), read off row m of the triangle."""
     if m < 0 or k < 0 or k > m:
         return 0
-    while len(_stirling_rows) <= m:
-        prev = _stirling_rows[-1]
-        mm = len(_stirling_rows)
-        row = [0] * (mm + 1)
-        row[mm] = 1
-        for kk in range(1, mm):
-            row[kk] = kk * prev[kk] + prev[kk - 1]
-        _stirling_rows.append(row)
-    return _stirling_rows[m][k]
+    return next(islice(_stirling_triangle(), m, None))[k]
+
+
+def _whole(value: Fraction, what: str) -> int:
+    if value.denominator != 1:
+        raise AssertionError(f"{what} not integral: {value}")
+    return value.numerator
 
 
 def _rfact(k: int) -> Fraction:
@@ -89,29 +92,30 @@ def _rfact(k: int) -> Fraction:
     return Fraction(1, math.factorial(k)) if k >= 0 else Fraction(0)
 
 
+def _independence_counts(n: int):
+    """(alpha, count_independence(n, alpha)) for alpha = 1..n, in one pass down
+    rows 1..n of the Stirling triangle, holding rows alpha-1 and alpha."""
+    rows = _stirling_triangle()
+    below = next(rows)
+    for alpha, row in zip(range(1, n + 1), rows):
+        k = n - alpha  # column k of a row shorter than k + 1 is zero
+        s = (row[k] if k <= alpha else 0) + alpha * (below[k] if k < alpha else 0)
+        yield alpha, _whole(Fraction(n) ** (n - alpha - 2) * math.perm(n, n - alpha) * s,
+                            f"count_independence({n}, {alpha})")
+        below = row
+
+
 def count_independence(n: int, alpha: int) -> int:
     """Labelled unrooted trees on n vertices with independence number alpha."""
     _check_positive(n, "n")
-    if not (1 <= alpha <= n):
-        return 0
-    val = (Fraction(n) ** (n - alpha - 2)
-           * Fraction(math.factorial(n), math.factorial(alpha))
-           * (stirling2(alpha, n - alpha) + alpha * stirling2(alpha - 1, n - alpha)))
-    if val.denominator != 1:
-        raise AssertionError(f"count_independence({n}, {alpha}) not integral: {val}")
-    return val.numerator
+    return next(c for a, c in _independence_counts(n) if a == alpha) if 1 <= alpha <= n else 0
 
 
 def independence_table(n: int) -> DistributionTable:
     """Distribution of the independence number over uniform unrooted trees."""
     _check_positive(n, "n")
-    counts = {a: count_independence(n, a) for a in range(1, n + 1)}
-    counts = {a: c for a, c in counts.items() if c}
-    table = DistributionTable(family="uniform-unrooted", parameter="independence",
-                              n=n, counts=counts)
-    if table.total != n ** max(n - 2, 0):
-        raise AssertionError(f"counts for n={n} sum to {table.total}, expected {n ** (n - 2)}")
-    return table
+    return DistributionTable(family="uniform-unrooted", parameter="independence", n=n,
+                             counts=dict(_independence_counts(n)), total=n ** max(n - 2, 0))
 
 
 def expected_alpha(n: int) -> Fraction:
@@ -140,22 +144,14 @@ def count_full_binary(m: int, alpha: int) -> int:
           * _rfact(4 * m - 3 * alpha + 3)
           * math.factorial(alpha - 1) * math.factorial(2 * m - alpha)
           * Fraction(2) ** (-(3 * alpha - 3 * m - 4)))
-    val = t1 + t2
-    if val.denominator != 1:
-        raise AssertionError(f"count_full_binary({m}, {alpha}) not integral: {val}")
-    return val.numerator
+    return _whole(t1 + t2, f"count_full_binary({m}, {alpha})")
 
 
 def full_binary_table(m: int) -> DistributionTable:
     _check_positive(m, "m")
-    counts = {a: count_full_binary(m, a) for a in range(1, 2 * m + 1)}
-    counts = {a: c for a, c in counts.items() if c}
-    table = DistributionTable(family="full-binary-deck", parameter="independence",
-                              n=2 * m + 1, counts=counts)
-    expect = math.factorial(2 * m) // 2 ** m
-    if table.total != expect:
-        raise AssertionError(f"deck counts for m={m} sum to {table.total}, expected {expect}")
-    return table
+    return DistributionTable(family="full-binary-deck", parameter="independence", n=2 * m + 1,
+                             counts={a: count_full_binary(m, a) for a in range(1, 2 * m + 1)},
+                             total=math.factorial(2 * m) // 2 ** m)
 
 
 def all_codes(n: int):
@@ -204,7 +200,7 @@ def exact_rooted_distribution(n: int, parameter: str = "independence",
         edges = classify(tree, variant).capacity_edges()
         counts[n - edges if complement else edges] += n
     return DistributionTable(family="uniform-rooted", parameter=parameter, n=n,
-                             counts=dict(sorted(counts.items())))
+                             counts=counts, total=n ** (n - 1))
 
 
 def exact_dice_distribution(n: int) -> DistributionTable:
@@ -212,4 +208,4 @@ def exact_dice_distribution(n: int) -> DistributionTable:
     _check_budget(n)
     counts = Counter(games.coupon_read(digits, n) for digits in all_codes(n))
     return DistributionTable(family="dice", parameter="alpha", n=n,
-                             counts=dict(sorted(counts.items())))
+                             counts=counts, total=n ** (n - 1))

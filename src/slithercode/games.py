@@ -26,7 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from .codec import decode_sequence, prefix_alpha, prufer_decode
-from .trees import NORMAL, RootedTree, Variant, _check_positive, _strict_int
+from .trees import NORMAL, RootedTree, Variant, _check_positive, _echo, _strict_int
 
 _MASK64 = (1 << 64) - 1
 
@@ -253,11 +253,20 @@ class TrialHistogram:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "TrialHistogram":
-        """Read integers strictly; n and trials are >= 1, counts >= 0 and sum to trials."""
+        """Read integers strictly; every field is required, counts is an object with one
+        key per value, n and trials are >= 1, counts >= 0 and sum to trials."""
+        missing = [k for k in ("parameter", "n", "trials", "seed", "counts") if k not in d]
+        if missing:
+            raise ValueError(f"missing field(s) {', '.join(missing)}")
+        raw = d["counts"]
+        if not isinstance(raw, dict):
+            raise ValueError(f"counts must be an object, got {_echo(raw)}")
         hist = cls(parameter=str(d["parameter"]), n=_strict_int(d["n"], "n"),
                    trials=_strict_int(d["trials"], "trials"), seed=_strict_int(d["seed"], "seed"),
                    counts={_strict_int(v, "count key"): _strict_int(c, "count")
-                           for v, c in d["counts"].items()})
+                           for v, c in raw.items()})
+        if len(hist.counts) != len(raw):
+            raise ValueError(f"two count keys spell the same value in {_echo([*raw])}")
         _check_positive(hist.n, "n")
         _check_positive(hist.trials, "trials")
         for v, c in hist.counts.items():

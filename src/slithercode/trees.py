@@ -22,7 +22,7 @@ by one, and classifies each vertex as it is deleted.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
@@ -119,7 +119,7 @@ class RootedTree:
 
     n: int
     root: int
-    parent: dict[int, int] = field(compare=True)
+    parent: dict[int, int]
 
     def children_lists(self) -> list[list[int]]:
         """Adjacency indexed by label; entry 0 is unused padding."""
@@ -205,9 +205,9 @@ def _bulk_ints(text: str, pairs: bool = False):
 
 
 def validate_tree(data) -> RootedTree:
-    """Build a RootedTree from a dict, a (n, root, parent) triple, or pairs.
+    """Build a RootedTree from a dict.
 
-    Accepted dict form: {"n": int, "root": int optional, "parent": {child: parent}}
+    Accepted form: {"n": int, "root": int optional, "parent": {child: parent}}
     with string or int keys (JSON round-trips produce strings).  A list of
     (child, parent) pairs, or an integer array of them, is also accepted in
     place of the parent dict.
@@ -217,10 +217,6 @@ def validate_tree(data) -> RootedTree:
     input is checked in bulk; the entries are walked one at a time only when
     a check fails, so the message names the same first defect either way.
     """
-    if isinstance(data, RootedTree):
-        data = {"n": data.n, "root": data.root, "parent": data.parent}
-    if isinstance(data, tuple) and len(data) == 3:
-        data = {"n": data[0], "root": data[1], "parent": data[2]}
     if not isinstance(data, dict):
         raise TreeError(f"cannot interpret {type(data).__name__} as a rooted tree")
 
@@ -380,9 +376,10 @@ class PositionMap:
         return frozenset(v for v in range(1, self.n + 1) if pc[v] == k and self.is_p(v))
 
     def names(self) -> list[str]:
-        """The naming table: a vertex with P-child count c is names()[min(c, b)]."""
+        """The naming table: a vertex with P-child count c is names()[min(c, b)].
+        A count is below n, so past b = n there are n P-names, P0..P(n-1)."""
         b = self.variant.b
-        return (["P"] if b == 1 else [f"P{c}" for c in range(b)]) + ["N"]
+        return (["P"] if b == 1 else [f"P{c}" for c in range(min(b, self.n))]) + ["N"]
 
     def label(self, v: int) -> str:
         return self.names()[min(self.p_child_count[v], self.variant.b)]
@@ -480,9 +477,6 @@ class StrategicSet:
 
     b: int
     edges: tuple[tuple[int, int], ...]
-
-    def size(self) -> int:
-        return len(self.edges)
 
 
 def strategic_set(tree: RootedTree, b: int) -> StrategicSet:

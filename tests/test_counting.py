@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from slithercode import (
+    DistributionTable,
     Variant,
     classify,
     count_full_binary,
@@ -73,6 +74,29 @@ def test_count_independence_out_of_range_is_zero():
     assert count_independence(4, 1) == 0
     assert count_independence(4, 4) == 0
     assert count_independence(1, 2) == 0
+
+
+def test_count_independence_is_the_table_entry():
+    for n in range(1, 31):
+        table = independence_table(n).counts
+        assert [count_independence(n, a) for a in range(-1, n + 2)] == \
+            [table.get(a, 0) for a in range(-1, n + 2)]
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        count_independence(0, 1)
+
+
+def test_independence_table_holds_no_triangle():
+    # a fresh interpreter, so that rows kept by an earlier call cannot hide a cache
+    src = Path(__file__).resolve().parent.parent / "src"
+    probe = ("import tracemalloc\n"
+             "from slithercode import counting\n"
+             "tracemalloc.start()\n"
+             "counting.independence_table(600)\n"
+             "print(tracemalloc.get_traced_memory()[1])\n")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 5 * 2**20
 
 
 @pytest.mark.parametrize("n", (2, 3, 4, 5, 6, 10, 25))
@@ -294,6 +318,13 @@ def test_table_json_uses_decimal_strings():
     assert j["counts"] == {"2": "12", "3": "4"}
     assert j["total"] == "16"
     assert j["probabilities"]["2"] == 0.75
+
+
+def test_table_keeps_nonzero_counts_in_value_order_and_checks_the_total():
+    table = DistributionTable("x", "y", 3, {2: 1, 1: 2, 3: 0}, 3)
+    assert list(table.counts.items()) == [(1, 2), (2, 1)]
+    with pytest.raises(AssertionError, match="sum to 3, expected 4"):
+        DistributionTable("x", "y", 3, {2: 1, 1: 2, 3: 0}, 4)
 
 
 def test_table_probabilities_sum_to_one():

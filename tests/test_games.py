@@ -357,11 +357,22 @@ def test_histogram_from_json_refuses_non_integers(field, bad, message):
     ("counts", {"1": 7, "9": -4}, "counts must be >= 0, got -4 for value 9"),
     ("counts", {"1": 1}, "counts sum to 1, not to trials = 2"),
     ("counts", {"1": 2, "2": 1}, "counts sum to 3, not to trials = 2"),
-], ids=("n", "trials", "negative-count", "short-sum", "long-sum"))
+    ("counts", [["1", 2]], "counts must be an object, got [['1', 2]]"),
+    ("counts", {"1": 1, "01": 1}, "two count keys spell the same value in ['1', '01']"),
+], ids=("n", "trials", "negative-count", "short-sum", "long-sum", "counts-not-object",
+        "repeated-key"))
 def test_histogram_from_json_checks_its_invariants(field, bad, message):
     good = {"parameter": "alpha", "n": 5, "trials": 2, "seed": 3, "counts": {"1": 2}}
     with pytest.raises(ValueError, match=re.escape(message)):
         TrialHistogram.from_json_dict({**good, field: bad})
+
+
+@pytest.mark.parametrize("field", ("parameter", "n", "trials", "seed", "counts"))
+def test_histogram_from_json_names_a_missing_field(field):
+    good = {"parameter": "alpha", "n": 5, "trials": 2, "seed": 3, "counts": {"1": 2}}
+    del good[field]
+    with pytest.raises(ValueError, match=f"^missing field\\(s\\) {field}$"):
+        TrialHistogram.from_json_dict(good)
 
 
 # --- fit statistics ---------------------------------------------------------

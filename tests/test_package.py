@@ -3,7 +3,8 @@
 No linter is a dependency, so these catch what a deletion leaves behind: an
 export whose definition is gone, or an import that nothing uses any more.
 One more keeps the command line drawing every family through games.DEALS,
-and every game through one coupon_read line.
+and every game through one coupon_read line; counting keeps no module-level
+list, so no cache, and its closed forms share one integrality check.
 """
 
 import ast
@@ -67,3 +68,20 @@ def test_integer_text_has_one_bulk_reader():
     calls = [(path.name, node.lineno) for path in MODULES for node in ast.walk(parse(path))
              if isinstance(node, ast.Attribute) and node.attr == "fromstring"]
     assert len(calls) == 1, f"np.fromstring should occur once in the package: {calls}"
+
+
+def test_counting_keeps_no_module_level_list():
+    # a memo, such as the rows of the Stirling triangle, would be a module-level list
+    def is_list(node):
+        return isinstance(node, (ast.List, ast.ListComp)) or (
+            isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "list")
+    lists = [node.lineno for node in parse(PACKAGE / "counting.py").body
+             if isinstance(node, (ast.Assign, ast.AnnAssign)) and is_list(node.value)]
+    assert not lists, f"counting.py assigns a list at module level on lines {lists}"
+
+
+def test_closed_forms_have_one_integrality_check():
+    found = [(path.name, i) for path in MODULES
+             for i, line in enumerate(path.read_text().splitlines(), 1) if "not integral" in line]
+    assert len(found) == 1, f"'not integral' should occur once in the package: {found}"

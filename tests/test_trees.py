@@ -1,6 +1,7 @@
 """Tree validation, position classification, and the optimal-play certificates."""
 
 import itertools
+import tracemalloc
 from collections import Counter
 from unittest import mock
 
@@ -55,8 +56,8 @@ def test_validate_accepts_json_style_dict():
     assert t.parent == {2: 1, 3: 1, 4: 3}
 
 
-def test_validate_accepts_triple_and_pairs():
-    t1 = validate_tree((4, 1, {2: 1, 3: 1, 4: 3}))
+def test_validate_accepts_pairs_in_place_of_the_map():
+    t1 = validate_tree({"n": 4, "root": 1, "parent": {2: 1, 3: 1, 4: 3}})
     t2 = validate_tree({"n": 4, "parent": [(2, 1), (3, 1), (4, 3)]})
     assert t1 == t2
 
@@ -64,11 +65,6 @@ def test_validate_accepts_triple_and_pairs():
 def test_validate_single_vertex():
     t = validate_tree({"n": 1})
     assert t.root == 1 and t.parent == {}
-
-
-def test_validate_passthrough_identity():
-    t = path_tree(5)
-    assert validate_tree(t) == t
 
 
 @pytest.mark.parametrize(
@@ -99,6 +95,9 @@ def test_validate_passthrough_identity():
          r"^multiple roots: 1000000 vertices have no parent, the first 10 are \[1, .* 10\]$"),
         ({"n": 10**12, "parent": {2: 1}}, "^multiple roots: 999999999999 vertices have"),
         ({"n": 11, "parent": {2: 1}}, r"^multiple roots: vertices \[1, 3, .* 11\] have"),
+        # the (n, root, parent) triple and a RootedTree are not read as input
+        ((4, 1, {2: 1, 3: 1, 4: 3}), "^cannot interpret tuple as a rooted tree$"),
+        (RootedTree(n=2, root=1, parent={2: 1}), "^cannot interpret RootedTree as a rooted tree$"),
     ),
 )
 def test_validate_rejects(data, fragment):
@@ -277,6 +276,27 @@ def test_classify_worked_example(fig1):
     pm3 = classify(t, capacity(3))
     assert pm3.n_set() == frozenset()
     assert pm3.label(1) == "P2"
+
+
+@pytest.mark.parametrize("b", (11, 12, 10**5))
+def test_labels_past_b_equal_n_are_those_at_n(fig1, b):
+    at_n, pm = classify(fig1["tree"], Variant(10)), classify(fig1["tree"], Variant(b))
+    assert pm.label_list() == at_n.label_list()
+    assert pm.labels() == at_n.labels()
+    assert [pm.label(v) for v in range(1, 11)] == at_n.label_list()
+
+
+def test_labels_cost_nothing_per_unit_of_b(fig1):
+    # a P-child count is below n, so a large b names no more than n P-classes
+    pm = classify(fig1["tree"], Variant(10**5))
+    for read in (lambda: pm.label(1), pm.label_list, pm.labels):
+        tracemalloc.start()
+        try:
+            read()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024, f"{read} traced {peak} bytes"
 
 
 def test_path_alternates():
