@@ -9,7 +9,8 @@ changes what a user sees fails here first.  The sizes are small (n <= 200,
 
 The digests pin decode, encode and params output at n = 2000, well past the
 exhaustive sweeps (n <= 7), where many parents become ready behind the
-pruning scan's pointer.  They also pin the closed-form tables (the
+pruning scan's pointer, and the strategic sets and path cover of a
+2000-vertex path and star.  They also pin the closed-form tables (the
 independence law at n = 40 and 60, the full-binary deck law at n = 41),
 whose counts run to 80 digits.
 """
@@ -444,6 +445,56 @@ def test_golden_classes_n2000(b, seed, aux_digest, labels_digest, strategic_dige
     labels = [trees.classify(tree, Variant(k)).labels() for k in (1, 2, 3)]
     assert _sha256(repr(labels)) == labels_digest
     assert _sha256(repr(trees.strategic_set(tree, 2).edges)) == strategic_digest
+    assert _sha256(repr(trees.path_cover_decomposition(tree))) == cover_digest
+
+
+# The same three trees: sha256 of the repr of strategic_set(tree, b).edges at
+# b = 1 and 3.
+STRATEGIC_DIGESTS = (
+    (1, 2001, "34057e7db5e6056134d59ef6a53ab568bb72e755e189a31668430a6a6354eeec",
+     "302c83e9ed801153858a82766d7cd901306aaace455d4b8eaf4178136bc5d0f1"),
+    (2, 2002, "d21bfe06c7a45f6433d981529a10f5a91db379be6622f6c6a40aecc5438cc47b",
+     "836a9f26af11a04bdd2bc28e9c9a5026d08466f7283885c46c3f91483fcb3bee"),
+    (3, 2003, "a14be38afcc115f405ef543d51bf3709a5c0184258eae40c601f7fcd35f52126",
+     "898390f183b33cf11394771ebd21bdebee0918ba11380db29831ccbb6f6d9581"),
+)
+
+
+@pytest.mark.parametrize("b, seed, b1_digest, b3_digest", STRATEGIC_DIGESTS,
+                         ids=[f"b={b}" for b, *_ in STRATEGIC_DIGESTS])
+def test_golden_strategic_n2000(b, seed, b1_digest, b3_digest):
+    tree = _decoded_n2000(b, seed)
+    assert _sha256(repr(trees.strategic_set(tree, 1).edges)) == b1_digest
+    assert _sha256(repr(trees.strategic_set(tree, 3).edges)) == b3_digest
+
+
+def _shaped_n2000(shape: str, seed: int) -> trees.RootedTree:
+    """A path or a star on 1..2000, its labels in a seeded random order from the root."""
+    order = (np.random.default_rng(seed).permutation(2000) + 1).tolist()
+    parent = dict(zip(order[1:], order if shape == "path" else [order[0]] * 2000))
+    return trees.RootedTree(n=2000, root=order[0], parent=parent)
+
+
+# The deep and the wide shape: sha256 of the repr of strategic_set(tree, b).edges
+# at b = 1, 2 and 3, and of path_cover_decomposition(tree).
+SHAPE_DIGESTS = (
+    ("path", 2004, ("9fa76c103899f3383b5d7a3bb74e3d1db08add6e857253e1d0d8f9aa3ecf6001",
+                    "280f79a69cf60b14ef1dc7107a4065b49cf759881281138aa1b886eb26a1580b",
+                    "280f79a69cf60b14ef1dc7107a4065b49cf759881281138aa1b886eb26a1580b"),
+     "458e850d241f901196b5495ba9420caf9ebf9819d6ed8fe53eea36c10021cdb3"),
+    ("star", 2005, ("e8f47ece04e839ee1bc27db42aeabcb564ce85ff607014de49273d7bcb4fceaa",
+                    "71e804d733c214b4c36dbf9e53dbf98b9ff08bfec787879f6d54b583fedf9380",
+                    "d2a35a5ec881e8b25a6f1fe6007c9381625763ee8a8cf9cf3caa848e6dcf07c1"),
+     "b80583827378b0f24fd8d126270a61fa3f35af1912b5a0fb104f10ffffc41633"),
+)
+
+
+@pytest.mark.parametrize("shape, seed, strategic_digests, cover_digest", SHAPE_DIGESTS,
+                         ids=[shape for shape, *_ in SHAPE_DIGESTS])
+def test_golden_shapes_n2000(shape, seed, strategic_digests, cover_digest):
+    tree = _shaped_n2000(shape, seed)
+    for b, digest in zip((1, 2, 3), strategic_digests):
+        assert _sha256(repr(trees.strategic_set(tree, b).edges)) == digest
     assert _sha256(repr(trees.path_cover_decomposition(tree))) == cover_digest
 
 
