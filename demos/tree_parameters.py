@@ -37,7 +37,7 @@ print("  independence number:", alpha, "  brute force:", bf_max_independent(t))
 print("  matching number:", t.n - alpha)
 
 cert = matching_certificate(t)
-print("  maximum matching, one edge per N vertex:", list(cert.edges))
+print("  maximum matching, one edge per N vertex:", list(cert))
 
 pm2 = classify(t, COMPLY)
 print("\ncomply game (b=2):")
@@ -45,7 +45,7 @@ print("  labels:", {v: pm2.label(v) for v in range(1, 13)})
 edges2 = max_capacity_edges(t, 2)
 print("  largest path-collection:", edges2, "edges",
       "  brute force:", bf_max_capacity_edges(t, 2))
-print("  strategic edge set:", list(strategic_set(t, 2).edges))
+print("  strategic edge set:", list(strategic_set(t, 2)))
 paths = path_cover_decomposition(t)
 print("  minimum path cover,", len(paths), "paths ( = n -", f"{edges2}):")
 for p in paths:

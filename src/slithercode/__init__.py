@@ -22,7 +22,7 @@ from .games import (ChiSquareResult, Deck, RandomSource, TrialHistogram,
                     dice_trial, fresh_seed, full_binary_trial, plane_trial,
                     run_trials, sample_uniform_labelled_tree,
                     sample_uniform_rooted_tree, tv_distance)
-from .trees import (COMPLY, NORMAL, PositionMap, RootedTree, StrategicSet, TreeError,
+from .trees import (COMPLY, NORMAL, PositionMap, RootedTree, TreeError,
                     Variant, bf_max_capacity_edges, bf_max_independent, capacity,
                     classify, independence_number, matching_certificate,
                     matching_number, max_capacity_edges, path_cover_decomposition,
@@ -44,7 +44,7 @@ __all__ = [
     "binary_lr_trial", "card_trial", "chi_square", "coupon_read", "dice_trial",
     "fresh_seed", "full_binary_trial", "plane_trial", "run_trials",
     "sample_uniform_labelled_tree", "sample_uniform_rooted_tree", "tv_distance",
-    "COMPLY", "NORMAL", "PositionMap", "RootedTree", "StrategicSet", "TreeError",
+    "COMPLY", "NORMAL", "PositionMap", "RootedTree", "TreeError",
     "Variant", "bf_max_capacity_edges", "bf_max_independent", "capacity",
     "classify", "independence_number", "matching_certificate", "matching_number",
     "max_capacity_edges", "path_cover_decomposition", "strategic_set",

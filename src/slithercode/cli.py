@@ -12,7 +12,8 @@ The input argument of encode/decode/params/read is a file path if one
 exists, "-" for stdin, and otherwise is parsed as literal data.
 --variant is always explicit on code-level commands: normal, comply, or
 b=K.  Exit status: 0 success, 2 invalid input or arguments, 1 internal
-failure or failed verification.
+failure or failed verification, 141 (128 + SIGPIPE) when the reader closes
+stdout before the output ends.
 """
 
 from __future__ import annotations
@@ -233,15 +234,18 @@ def cmd_read(args) -> int:
 # Bounds --n of sample, simulate and clt, and --n times --count of sample, whose
 # trees are held until printed at about 80 to 150 B per vertex.
 _SAMPLE_MAX_N = 10**6
+# Bounds --trials of simulate and clt: a trial takes about 35-135 us on one
+# CPU (dice at n = 10 to 2000, plane at n = 500), so 10^7 is 6 to 23 minutes.
+_TRIALS_MAX = 10**7
 
 
-def _check_n(n: int | None) -> None:
-    if n is not None and n > _SAMPLE_MAX_N:
-        raise ValueError(f"--n is bounded at {_SAMPLE_MAX_N}, got {n}")
+def _check_bound(flag: str, value: int | None, bound: int) -> None:
+    if value is not None and value > bound:
+        raise ValueError(f"{flag} is bounded at {bound}, got {value}")
 
 
 def cmd_sample(args) -> int:
-    _check_n(args.n)
+    _check_bound("--n", args.n, _SAMPLE_MAX_N)
     _check_positive(args.count, "--count")
     if args.n * args.count > _SAMPLE_MAX_N:
         raise ValueError(f"--n times --count is bounded at {_SAMPLE_MAX_N}, "
@@ -263,7 +267,8 @@ def cmd_sample(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    _check_n(args.n)
+    _check_bound("--n", args.n, _SAMPLE_MAX_N)
+    _check_bound("--trials", args.trials, _TRIALS_MAX)
     resolve_threads(args.threads)
     seed = resolve_seed(args.seed)
     game = args.game
@@ -313,6 +318,8 @@ _CLOSED_FORM_MAX_N = 1000
 
 
 def cmd_enumerate(args) -> int:
+    if args.b is not None and args.parameter != "capacity-edges":
+        raise ValueError("--b applies only to --parameter capacity-edges")
     if args.parameter is None and args.n > _CLOSED_FORM_MAX_N:
         raise ValueError(f"closed-form tables are bounded at --n {_CLOSED_FORM_MAX_N}, "
                          f"got {args.n}")
@@ -325,7 +332,7 @@ def cmd_enumerate(args) -> int:
         table = counting.independence_table(args.n)
     else:
         table = counting.exact_rooted_distribution(
-            args.n, args.parameter.replace("-", "_"), b=args.b)
+            args.n, args.parameter.replace("-", "_"), b=2 if args.b is None else args.b)
     _emit_table(table, args.format)
     return 0
 
@@ -342,7 +349,8 @@ def cmd_constants(args) -> int:
 
 
 def cmd_clt(args) -> int:
-    _check_n(args.n)
+    _check_bound("--n", args.n, _SAMPLE_MAX_N)
+    _check_bound("--trials", args.trials, _TRIALS_MAX)
     seed = resolve_seed(args.seed)
     rep = asymptotics.clt_check(args.n, args.trials, seed)
     (emit_json if args.format == "json" else emit_kv)(rep.to_json_dict())
@@ -446,7 +454,8 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=[p.replace("_", "-") for p in counting._ROOTED_PARAMETERS],
                    help="rooted exhaustive sweep (n <= 7); default: closed-form "
                         "unrooted independence table")
-    p.add_argument("--b", type=int, default=2, help="capacity for capacity-edges")
+    p.add_argument("--b", type=int, default=None,
+                   help="capacity for --parameter capacity-edges only (default 2)")
     fmt(p)
     p.set_defaults(func=cmd_enumerate)
 
@@ -475,7 +484,14 @@ def run(argv=None) -> int:
 
 def main(argv=None) -> int:
     try:
-        return run(argv)
+        status = run(argv)
+        sys.stdout.flush()  # a closed pipe fails here, not at exit
+        return status
+    except BrokenPipeError:
+        # the reader closed stdout: exit quietly with a shell's status for SIGPIPE,
+        # and point fd 1 at devnull so the interpreter's last flush cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ValueError, OSError) as exc:  # TreeError/CodeError/JSON errors included
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -41,9 +41,14 @@ def _mix64(seed: int, index: int) -> int:
 
 @dataclass(frozen=True)
 class RandomSource:
-    """Master seed from which independent per-trial generators are derived."""
+    """Master seed, 0 <= seed < 2^64, from which independent per-trial generators are derived."""
 
     seed: int
+
+    def __post_init__(self):
+        # _mix64 reads the seed mod 2^64, so a seed outside the range would repeat one inside
+        if not 0 <= self.seed <= _MASK64:
+            raise ValueError(f"seed must be in 0..2^64-1, got {self.seed}")
 
     def trial_rng(self, index: int) -> np.random.Generator:
         return np.random.Generator(np.random.PCG64(_mix64(self.seed, index)))

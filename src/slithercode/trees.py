@@ -11,8 +11,8 @@ classification rule on the rooted tree:
 with b=1 the plain game ("normal"), b=2 the constrained game ("comply"),
 and b>=3 the general capacity game.  Leaves are always P.  The P-set under
 b=1 is a maximum independent set, so |P| is the independence number and
-n-|P| the matching number; under b=2 the induced strategic edge set
-decomposes the tree into a minimum path cover.
+n-|P| the matching number; at b=2 the links of _links, each vertex to its
+two smallest P-children, decompose the tree into a minimum path cover.
 
 The rule is evaluated in one place, the pruning scan _prune behind classify
 and the codes' encode and decode: it deletes smallest-labelled leaves one
@@ -455,13 +455,11 @@ def independence_number(tree: RootedTree) -> int:
     return tree.n - matching_number(tree)
 
 
-def matching_certificate(tree: RootedTree) -> StrategicSet:
-    """Pair each N-vertex with its smallest-labelled P-child.
+def matching_certificate(tree: RootedTree) -> tuple[tuple[int, int], ...]:
+    """The b=1 strategic set: each N-vertex paired with its smallest-labelled P-child.
 
-    Every N-vertex has a P-child by definition, and a P-child has a P or N
-    parent but is itself paired at most once, so the edges are disjoint and
-    there are exactly n - |P| of them.  This is the b=1 strategic set: under
-    b=1 a P-vertex has no P-child, so only N-vertices contribute an edge.
+    Every N-vertex has a P-child, which is paired at most once, and under b=1
+    a P-vertex has none, so these n - |P| edges form a maximum matching.
     """
     return strategic_set(tree, 1)
 
@@ -471,34 +469,33 @@ def max_capacity_edges(tree: RootedTree, b: int) -> int:
     return classify(tree, Variant(b)).capacity_edges()
 
 
-@dataclass(frozen=True)
-class StrategicSet:
-    """Edge set realizing max_capacity_edges, as (parent, child) pairs."""
+def _links(tree: RootedTree, b: int) -> list[int]:
+    """The link rule: every vertex links down to its b smallest-labelled P-children.
 
-    b: int
-    edges: tuple[tuple[int, int], ...]
-
-
-def strategic_set(tree: RootedTree, b: int) -> StrategicSet:
-    """Concrete optimal edge set for the degree-<=b problem.
-
-    Each N-vertex takes edges to its b smallest-labelled P-children, each
-    P-vertex an edge to every P-child (it has fewer than b).  N-vertices
-    never receive an edge from above, giving them degree exactly b;
-    P-vertices get at most one from above and b-1 at most from below.
-    Edges are sorted by parent, then child.
+    Returns up, indexed by label with entry 0 unused: up[c] is the parent
+    that c links up to, and 0 means no link.  A P-vertex has fewer than b
+    P-children, so it links to all of them.
     """
     n, root, parent = tree.n, tree.root, tree.parent
     pcount = classify(tree, Variant(b)).p_child_count
-    taken, edges = [0] * (n + 1), []
+    taken, up = [0] * (n + 1), [0] * (n + 1)
     for c in range(1, n + 1):  # ascending, so each vertex takes its smallest first
-        if c != root and pcount[c] < b:
+        if pcount[c] < b and c != root:
             v = parent[c]
             if taken[v] < b:
                 taken[v] += 1
-                edges.append((v, c))
-    edges.sort()
-    return StrategicSet(b=b, edges=tuple(edges))
+                up[c] = v
+    return up
+
+
+def strategic_set(tree: RootedTree, b: int) -> tuple[tuple[int, int], ...]:
+    """An optimal degree-<=b edge set: the links, as sorted (parent, child) pairs.
+
+    An N-vertex links down to b P-children and never up, so its degree is b;
+    a P-vertex links up once at most and down b-1 times at most.  There are
+    max_capacity_edges(tree, b) pairs.
+    """
+    return tuple(sorted((v, c) for c, v in enumerate(_links(tree, b)) if v))
 
 
 def path_cover_decomposition(tree: RootedTree) -> list[list[int]]:
@@ -510,31 +507,22 @@ def path_cover_decomposition(tree: RootedTree) -> list[list[int]]:
     Paths are returned oriented from their smaller-labelled endpoint and
     sorted by smallest contained vertex.
 
-    Each path hangs from its top: an N-vertex with two down links, or a
-    P-vertex with no up link; below it every vertex has one down link at most.
-    The links are the strategic set's edges, read straight off the P-child
-    counts: every vertex links down to its two smallest P-children.
+    Each path hangs from its top, the one vertex without an up link, and
+    below the top every vertex has one down link at most.
     """
-    n, root, parent = tree.n, tree.root, tree.parent
-    pcount = classify(tree, COMPLY).p_child_count
-    up, first, second = [0] * (n + 1), [0] * (n + 1), [0] * (n + 1)
-    for c in range(1, n + 1):  # ascending, so first[v] < second[v]
-        if c != root and pcount[c] < 2:
-            v = parent[c]
-            if not first[v]:
-                first[v], up[c] = c, v
-            elif not second[v]:
-                second[v], up[c] = c, v
+    n, up = tree.n, _links(tree, 2)
+    first, second = [0] * (n + 1), [0] * (n + 1)
+    for c, v in enumerate(up):  # ascending, so first[v] < second[v]
+        if v:
+            if first[v]:
+                second[v] = c
+            else:
+                first[v] = c
 
-    seen = [False] * (n + 1)
     paths = []
-    for v in range(1, n + 1):
-        if seen[v]:
+    for top in range(1, n + 1):
+        if up[top]:
             continue
-        # v is the smallest vertex of its path, so paths come out by minimum
-        top = v
-        while up[top]:
-            top = up[top]
         halves = [[], []]
         for half, c in zip(halves, (first[top], second[top])):
             while c:
@@ -543,9 +531,8 @@ def path_cover_decomposition(tree: RootedTree) -> list[list[int]]:
         path = halves[0][::-1] + [top] + halves[1]
         if path[0] > path[-1]:
             path.reverse()
-        for w in path:
-            seen[w] = True
         paths.append(path)
+    paths.sort(key=min)
     return paths
 
 

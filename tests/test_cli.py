@@ -251,6 +251,58 @@ def test_n_is_bounded_before_anything_is_allocated(capsys, argv):
     assert err == f"error: --n is bounded at {cli._SAMPLE_MAX_N}, got 100000000000\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ("simulate", "--game", "dice", "--n", "5"),
+        ("clt",),
+    ),
+    ids=lambda argv: argv[0],
+)
+def test_trials_is_bounded_before_the_seed_is_drawn(capsys, monkeypatch, argv):
+    # without the bound, --trials 10^11 ran for hours; past the bound no seed is drawn
+    def drawn(seed):
+        raise ValueError("seed drawn")
+
+    monkeypatch.setattr(cli, "resolve_seed", drawn)
+    assert cli._TRIALS_MAX == 10**7
+    rc, out, err = run_cli(capsys, *argv, "--trials", "10000001")
+    assert (rc, out) == (2, "")
+    assert err == "error: --trials is bounded at 10000000, got 10000001\n"
+    assert run_cli(capsys, *argv, "--trials", "10000000") == (2, "", "error: seed drawn\n")
+
+
+@pytest.mark.parametrize("seed", ("-1", "18446744073709551616"))
+def test_seed_outside_64_bits_exits_2(capsys, seed):
+    # -1 and 2^64 - 1, 0 and 2^64 ran the same trials under different seed headers
+    rc, out, err = run_cli(capsys, "simulate", "--game", "dice", "--n", "50",
+                           "--trials", "200", "--seed", seed)
+    assert (rc, out) == (2, "")
+    assert err == f"error: seed must be in 0..2^64-1, got {seed}\n"
+
+
+@pytest.mark.parametrize("seed", ("0", "18446744073709551615"))
+def test_seed_at_either_end_of_64_bits_runs(capsys, seed):
+    for argv in (("simulate", "--game", "dice", "--n", "50", "--trials", "200"),
+                 ("sample", "--family", "uniform", "--n", "5")):
+        rc, out, err = run_cli(capsys, *argv, "--seed", seed)
+        assert (rc, err) == (0, "") and out
+
+
+@pytest.mark.parametrize("unbuffered", ("", "1"), ids=("buffered", "unbuffered"))
+def test_closed_stdout_exits_141_quietly(unbuffered):
+    # about 290 KB of output, past the pipe's buffer, so the reader closes before the end;
+    # a closed pipe was reported as invalid input: "error: [Errno 32] Broken pipe", exit 2
+    proc = subprocess.Popen([sys.executable, "-m", "slithercode", "enumerate", "--n", "500"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env={**os.environ, "PYTHONUNBUFFERED": unbuffered})
+    assert proc.stdout.readline() == b"# family uniform-unrooted\n"
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 141
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
+
+
 def test_simulate_threads_flag_starts_no_thread(capsys, monkeypatch):
     def refuse(self):
         raise AssertionError("a thread was started")
@@ -316,6 +368,26 @@ def test_enumerate_rejects(capsys, argv):
     assert rc == 2 and err.startswith("error: ")
     if int(argv[2]) > 1000:
         assert "bounded at --n 1000" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ("enumerate", "--parameter", "independence", "--n", "4", "--b", "0"),
+        ("enumerate", "--n", "4", "--b", "-9"),
+        ("enumerate", "--family", "full-binary", "--n", "5", "--b", "99"),
+    ),
+)
+def test_enumerate_b_applies_only_to_capacity_edges(capsys, argv):
+    rc, out, err = run_cli(capsys, *argv)
+    assert (rc, out) == (2, "")
+    assert err == "error: --b applies only to --parameter capacity-edges\n"
+
+
+def test_enumerate_capacity_edges_defaults_to_b2(capsys):
+    argv = ("enumerate", "--parameter", "capacity-edges", "--n", "5")
+    assert run_cli(capsys, *argv) == run_cli(capsys, *argv, "--b", "2")
+    assert run_cli(capsys, *argv)[0] == 0
 
 
 def test_constants_output(capsys):

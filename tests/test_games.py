@@ -56,6 +56,23 @@ def test_fresh_seed_range():
     assert len(seeds) > 1
 
 
+@pytest.mark.parametrize("seed", (-1, 2**64, 2**64 + 5, -(2**64)))
+def test_seeds_outside_64_bits_are_refused(seed):
+    # the generator reads a seed mod 2^64, so each of these would repeat a seed inside
+    trial = lambda rng: dice_trial(6, rng)
+    for make in (lambda: RandomSource(seed),
+                 lambda: run_trials(trial, 10, seed, n=6, parameter="alpha")):
+        with pytest.raises(ValueError, match=r"seed must be in 0\.\.2\^64-1"):
+            make()
+
+
+@pytest.mark.parametrize("seed", (0, 1, 2**63, 2**64 - 1))
+def test_seeds_inside_64_bits_are_accepted(seed):
+    assert RandomSource(seed).trial_rng(0).integers(1, 7, size=3).shape == (3,)
+    hist = run_trials(lambda rng: dice_trial(6, rng), 10, seed, n=6, parameter="alpha")
+    assert (hist.seed, hist.trials) == (seed, 10)
+
+
 def test_run_trials_is_seed_deterministic():
     mk = lambda: run_trials(lambda rng: dice_trial(6, rng), 400, 21, n=6, parameter="alpha")
     assert mk() == mk()

@@ -418,7 +418,7 @@ def test_golden_codec_n2000(b, seed, tree_digest, code_digest):
 
 # The same three trees: sha256 of the repr of the encode auxiliary, of
 # [classify(tree, Variant(k)).labels() for k in 1, 2, 3], of
-# strategic_set(tree, 2).edges and of path_cover_decomposition(tree).
+# strategic_set(tree, 2) and of path_cover_decomposition(tree).
 CLASS_DIGESTS = (
     (1, 2001, "99d4bf35323799cc134fc411016dc94fdc463844415b4edc988685c4a09678f6",
      "1ed44fa67cf99f0d60cf35ce5a70e69b3c7c0ced7412e25ff15be46aae8defec",
@@ -444,12 +444,12 @@ def test_golden_classes_n2000(b, seed, aux_digest, labels_digest, strategic_dige
     assert _sha256(repr(aux)) == aux_digest
     labels = [trees.classify(tree, Variant(k)).labels() for k in (1, 2, 3)]
     assert _sha256(repr(labels)) == labels_digest
-    assert _sha256(repr(trees.strategic_set(tree, 2).edges)) == strategic_digest
+    assert _sha256(repr(trees.strategic_set(tree, 2))) == strategic_digest
     assert _sha256(repr(trees.path_cover_decomposition(tree))) == cover_digest
 
 
-# The same three trees: sha256 of the repr of strategic_set(tree, b).edges at
-# b = 1 and 3.
+# The same three trees: sha256 of the repr of strategic_set(tree, b) at b = 1
+# and 3.
 STRATEGIC_DIGESTS = (
     (1, 2001, "34057e7db5e6056134d59ef6a53ab568bb72e755e189a31668430a6a6354eeec",
      "302c83e9ed801153858a82766d7cd901306aaace455d4b8eaf4178136bc5d0f1"),
@@ -464,8 +464,8 @@ STRATEGIC_DIGESTS = (
                          ids=[f"b={b}" for b, *_ in STRATEGIC_DIGESTS])
 def test_golden_strategic_n2000(b, seed, b1_digest, b3_digest):
     tree = _decoded_n2000(b, seed)
-    assert _sha256(repr(trees.strategic_set(tree, 1).edges)) == b1_digest
-    assert _sha256(repr(trees.strategic_set(tree, 3).edges)) == b3_digest
+    assert _sha256(repr(trees.strategic_set(tree, 1))) == b1_digest
+    assert _sha256(repr(trees.strategic_set(tree, 3))) == b3_digest
 
 
 def _shaped_n2000(shape: str, seed: int) -> trees.RootedTree:
@@ -475,8 +475,8 @@ def _shaped_n2000(shape: str, seed: int) -> trees.RootedTree:
     return trees.RootedTree(n=2000, root=order[0], parent=parent)
 
 
-# The deep and the wide shape: sha256 of the repr of strategic_set(tree, b).edges
-# at b = 1, 2 and 3, and of path_cover_decomposition(tree).
+# The deep and the wide shape: sha256 of the repr of strategic_set(tree, b) at
+# b = 1, 2 and 3, and of path_cover_decomposition(tree).
 SHAPE_DIGESTS = (
     ("path", 2004, ("9fa76c103899f3383b5d7a3bb74e3d1db08add6e857253e1d0d8f9aa3ecf6001",
                     "280f79a69cf60b14ef1dc7107a4065b49cf759881281138aa1b886eb26a1580b",
@@ -494,7 +494,7 @@ SHAPE_DIGESTS = (
 def test_golden_shapes_n2000(shape, seed, strategic_digests, cover_digest):
     tree = _shaped_n2000(shape, seed)
     for b, digest in zip((1, 2, 3), strategic_digests):
-        assert _sha256(repr(trees.strategic_set(tree, b).edges)) == digest
+        assert _sha256(repr(trees.strategic_set(tree, b))) == digest
     assert _sha256(repr(trees.path_cover_decomposition(tree))) == cover_digest
 
 

@@ -4,7 +4,8 @@ No linter is a dependency, so these catch what a deletion leaves behind: an
 export whose definition is gone, or an import that nothing uses any more.
 One more keeps the command line drawing every family through games.DEALS,
 and every game through one coupon_read line; counting keeps no module-level
-list, so no cache, and its closed forms share one integrality check.
+list, so no cache, and its closed forms share one integrality check.  The
+strategic set and the path cover both read the one link pass, trees._links.
 """
 
 import ast
@@ -85,3 +86,13 @@ def test_closed_forms_have_one_integrality_check():
     found = [(path.name, i) for path in MODULES
              for i, line in enumerate(path.read_text().splitlines(), 1) if "not integral" in line]
     assert len(found) == 1, f"'not integral' should occur once in the package: {found}"
+
+
+@pytest.mark.parametrize("name", ("strategic_set", "path_cover_decomposition"))
+def test_links_are_chosen_in_one_pass(name):
+    # each reads trees._links and classifies nothing itself, so the link rule has one copy
+    func = next(node for node in parse(PACKAGE / "trees.py").body
+                if isinstance(node, ast.FunctionDef) and node.name == name)
+    called = {node.func.id for node in ast.walk(func)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    assert "_links" in called and "classify" not in called, f"{name} calls {sorted(called)}"

@@ -358,10 +358,10 @@ def test_p_child_counts_recount(t, b):
 @given(trees)
 def test_matching_certificate_is_a_maximum_matching(t):
     cert = matching_certificate(t)
-    assert len(cert.edges) == matching_number(t)
+    assert len(cert) == matching_number(t)
     seen = set()
     pm = classify(t, NORMAL)
-    for v, c in cert.edges:
+    for v, c in cert:
         assert t.parent[c] == v
         assert not pm.is_p(v) and pm.is_p(c)
         assert v not in seen and c not in seen
@@ -371,10 +371,10 @@ def test_matching_certificate_is_a_maximum_matching(t):
 @given(trees, st.integers(1, 3))
 def test_strategic_set_size_and_degrees(t, b):
     ss = strategic_set(t, b)
-    assert ss.b == b
-    assert len(ss.edges) == max_capacity_edges(t, b)
+    assert type(ss) is tuple and list(ss) == sorted(ss)
+    assert len(ss) == max_capacity_edges(t, b)
     degree = {}
-    for v, c in ss.edges:
+    for v, c in ss:
         assert t.parent[c] == v
         degree[v] = degree.get(v, 0) + 1
         degree[c] = degree.get(c, 0) + 1
@@ -390,14 +390,14 @@ def test_capacity_edges_match_brute_force(t, b):
 @given(trees, st.integers(1, 4))
 def test_capacity_edges_of_a_classification(t, b):
     pm = classify(t, Variant(b))
-    assert pm.capacity_edges() == max_capacity_edges(t, b) == len(strategic_set(t, b).edges)
+    assert pm.capacity_edges() == max_capacity_edges(t, b) == len(strategic_set(t, b))
     if b == 1:
         assert pm.capacity_edges() == t.n - len(pm.p_set()) == matching_number(t)
 
 
 def test_strategic_b1_is_the_certificate_matching(fig1):
     t = fig1["tree"]
-    assert strategic_set(t, 1).edges == matching_certificate(t).edges
+    assert strategic_set(t, 1) == matching_certificate(t)
 
 
 # --- path cover -------------------------------------------------------------
