@@ -19,6 +19,7 @@ stdout before the output ends.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import sys
@@ -133,14 +134,34 @@ def read_input(source: str) -> str:
     return source
 
 
+def _write_out(text: str) -> None:
+    """Write text to stdout in full, or raise.
+
+    Unbuffered (python -u, PYTHONUNBUFFERED), stdout's byte layer is a raw
+    file, which may take only part of a write to a pipe; the text layer drops
+    that count, so a reader that closed the pipe mid-write would lose the
+    rest without an error.  Writing again until the count is reached raises
+    BrokenPipeError instead.
+    """
+    out = sys.stdout
+    raw = getattr(out, "buffer", None)
+    if not isinstance(raw, io.RawIOBase):
+        out.write(text)
+        return
+    out.flush()
+    data = memoryview(text.encode(out.encoding, out.errors))
+    while data:
+        data = data[raw.write(data):]
+
+
 def emit_json(obj) -> None:
-    print(json.dumps(obj, indent=2))
+    _write_out(json.dumps(obj, indent=2) + "\n")
 
 
 def emit_kv(obj: dict) -> None:
     """One 'key: value' line per entry, a list's items space-separated."""
-    for k, v in obj.items():
-        print(f"{k}: {' '.join(map(str, v)) if isinstance(v, list) else v}")
+    _write_out("".join(f"{k}: {' '.join(map(str, v)) if isinstance(v, list) else v}\n"
+                       for k, v in obj.items()))
 
 
 def resolve_seed(seed: int | None) -> int:
@@ -168,7 +189,7 @@ def cmd_encode(args) -> int:
         emit_json({"n": code.n, "variant": code.variant.name,
                    "symbols": list(code.symbols), "auxiliary": list(aux)})
     else:
-        sys.stdout.write(code_to_text(code))
+        _write_out(code_to_text(code))
     return 0
 
 
@@ -178,7 +199,7 @@ def cmd_decode(args) -> int:
     if args.format == "json":
         emit_json(tree_to_json_dict(tree))
     else:
-        sys.stdout.write(tree_to_text(tree))
+        _write_out(tree_to_text(tree))
     return 0
 
 
@@ -206,7 +227,8 @@ def cmd_params(args) -> int:
         for name, pm in (("normal", pm_normal), ("comply", pm_comply)):
             cells = [0] * (2 * tree.n)
             cells[::2], cells[1::2] = range(1, tree.n + 1), pm.label_list()
-            print(f"classification[{name}]: " + " ".join(["%d:%s"] * tree.n) % tuple(cells))
+            _write_out(f"classification[{name}]: "
+                       + " ".join(["%d:%s"] * tree.n) % tuple(cells) + "\n")
     return 0
 
 
@@ -234,8 +256,8 @@ def cmd_read(args) -> int:
 # Bounds --n of sample, simulate and clt, and --n times --count of sample, whose
 # trees are held until printed at about 80 to 150 B per vertex.
 _SAMPLE_MAX_N = 10**6
-# Bounds --trials of simulate and clt: a trial takes about 35-135 us on one
-# CPU (dice at n = 10 to 2000, plane at n = 500), so 10^7 is 6 to 23 minutes.
+# Bounds --trials of simulate and clt: a trial takes about 10-60 us on one
+# CPU (dice at n = 10 to 2000, plane at n = 500), so 10^7 is 2 to 10 minutes.
 _TRIALS_MAX = 10**7
 
 
@@ -262,7 +284,7 @@ def cmd_sample(args) -> int:
         dicts = [tree_to_json_dict(t) for t in sampled]
         emit_json(dicts if args.count > 1 else dicts[0])
     else:
-        sys.stdout.write("\n".join(tree_to_text(t) for t in sampled))
+        _write_out("\n".join(tree_to_text(t) for t in sampled))
     return 0
 
 

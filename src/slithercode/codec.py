@@ -111,10 +111,10 @@ def slither_decode(code: SlitherCode) -> RootedTree:
         return p
 
     _prune(n, sym, code.variant.b, place)
-    roots = [v for v in range(1, n + 1) if v not in parent]
-    if len(roots) != 1:
+    if len(parent) != n - 1:
         raise AssertionError("decode left more than one parentless vertex")
-    return RootedTree(n=n, root=roots[0], parent=parent)
+    # the scan deletes n - 1 distinct labels, so the root is the one left over
+    return RootedTree(n=n, root=n * (n + 1) // 2 - sum(parent), parent=parent)
 
 
 def decode_sequence(symbols, n: int | None = None, variant: Variant = NORMAL) -> RootedTree:

@@ -9,15 +9,21 @@ profile d), covering uniform full binary trees, left/right binary trees,
 and plane trees.
 
 Reproducibility contract: a trial is a pure function of (master seed,
-trial index).  Each index gets its own PCG64 stream derived through a
-splitmix64 mix, so the histograms of disjoint index ranges merge, in any
-order, into the histogram of their union.  Trials run on one thread: a
-trial holds the interpreter lock for most of its time, and a thread pool
+trial index).  Trial i draws from np.random.PCG64(splitmix64(seed, i)), so
+the histograms of disjoint index ranges merge, in any order, into the
+histogram of their union.  Seeding a PCG64 from an integer hashes it
+through numpy's SeedSequence, one integer per call; RandomSource.trial_rng
+runs that hash over 1024 indices at a time, in numpy, and hands each
+generator its precomputed words.  Such a generator draws exactly as
+np.random.PCG64(splitmix64(seed, i)) does, but it cannot spawn child
+generators, and nothing in this package spawns.  Trials run on one thread:
+a trial holds the interpreter lock for most of its time, and a thread pool
 ran slower than the serial loop.
 """
 
 from __future__ import annotations
 
+import functools
 import secrets
 from collections import Counter
 from dataclasses import dataclass
@@ -29,14 +35,77 @@ from .codec import decode_sequence, prefix_alpha, prufer_decode
 from .trees import NORMAL, RootedTree, Variant, _check_positive, _echo, _strict_int
 
 _MASK64 = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15  # splitmix64's increment
+_BLOCK = 1024  # trial indices whose generator seeds are derived in one pass
+
+# numpy's SeedSequence hash of 32-bit words: its k-th hash while mixing the pool
+# xors by INIT_A * MULT_A^k and multiplies by INIT_A * MULT_A^(k+1), and
+# generate_state does the same with INIT_B and MULT_B.  None depends on the data.
+_POOL_HASH = np.array([0x43B0D7E5 * pow(0x931E8875, k, 1 << 32) % (1 << 32)
+                       for k in range(17)], dtype=np.uint32)
+_STATE_HASH = np.array([0x8B51F9DD * pow(0x58F38DED, k, 1 << 32) % (1 << 32)
+                        for k in range(9)], dtype=np.uint32)
 
 
-def _mix64(seed: int, index: int) -> int:
-    # splitmix64 output function; decorrelates consecutive trial indices
-    z = (seed + (index + 1) * 0x9E3779B97F4A7C15) & _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return z ^ (z >> 31)
+def _hash(value: np.ndarray, consts: np.ndarray, k) -> np.ndarray:
+    """SeedSequence's k-th hash of value; k may be an index array, one hash per row."""
+    value = (value ^ consts[k]) * consts[k + 1]
+    return value ^ (value >> 16)
+
+
+@functools.lru_cache(maxsize=1)
+def _block_words(seed: int, block: int) -> np.ndarray:
+    """Row r is SeedSequence(splitmix64(seed, i)).generate_state(4, uint64), i = block*_BLOCK + r.
+
+    Those are the words np.random.PCG64(splitmix64(seed, i)) seeds itself
+    with.  SeedSequence's loops run here across the block, in the same order.
+    """
+    z = (np.arange(_BLOCK, dtype=np.uint64) * _GOLDEN
+         + ((seed + (block * _BLOCK + 1) * _GOLDEN) & _MASK64))
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB
+    z ^= z >> 31
+    # The entropy is z's low and high 32-bit words; a z below 2^32 is one word,
+    # and the pool hashes a 0 for each missing word, as for a high word of 0.
+    pool = np.zeros((4, _BLOCK), dtype=np.uint32)
+    pool[0], pool[1] = z.astype(np.uint32), (z >> 32).astype(np.uint32)
+    pool = _hash(pool, _POOL_HASH, np.arange(4)[:, None])
+    for src in range(4):  # each other word mixes in a hash of pool[src], in turn
+        dst = [d for d in range(4) if d != src]
+        mixed = 0xCA01F9DD * pool[dst] - 0x4973F715 * _hash(
+            pool[src], _POOL_HASH, 4 + 3 * src + np.arange(3)[:, None])
+        pool[dst] = mixed ^ (mixed >> 16)
+    state = _hash(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _STATE_HASH, np.arange(8)[:, None])
+    words = state[0::2].astype(np.uint64) | state[1::2].astype(np.uint64) << 32
+    words = np.ascontiguousarray(words.T)  # PCG64 reads a row's 4 words from memory
+    words.flags.writeable = False
+    return words
+
+
+@functools.cache
+def _seed_words_type() -> type:
+    # numpy.random loads here, on the first trial, not when the package is imported
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeedWords(ISeedSequence):
+        """A SeedSequence's generate_state(4, uint64), computed ahead; it cannot spawn."""
+
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 4 or (dtype is not np.uint64 and np.dtype(dtype) != np.uint64):
+                raise ValueError("only PCG64's request, 4 uint64 words, was computed ahead")
+            return self.words
+
+        def __reduce__(self):  # pickle finds the class through the module function
+            return _seed_words, (self.words,)
+
+    return SeedWords
+
+
+def _seed_words(words: np.ndarray):
+    return _seed_words_type()(words)
 
 
 @dataclass(frozen=True)
@@ -46,12 +115,25 @@ class RandomSource:
     seed: int
 
     def __post_init__(self):
-        # _mix64 reads the seed mod 2^64, so a seed outside the range would repeat one inside
+        # splitmix64 reads the seed mod 2^64, so a seed outside the range would repeat one inside
         if not 0 <= self.seed <= _MASK64:
             raise ValueError(f"seed must be in 0..2^64-1, got {self.seed}")
 
     def trial_rng(self, index: int) -> np.random.Generator:
-        return np.random.Generator(np.random.PCG64(_mix64(self.seed, index)))
+        """Trial index's generator: draws as np.random.PCG64(splitmix64(seed, index)) does.
+
+        The seed words are those of index's block of _BLOCK indices, derived
+        together and kept for the latest block, so a run of consecutive
+        trials hashes each index once, in bulk.  The generator cannot spawn:
+        it has no SeedSequence to spawn from, and nothing in this package
+        spawns.  An index outside 0..2^64-1 raises ValueError, as splitmix64
+        would read it mod 2^64.
+        """
+        if not 0 <= index <= _MASK64:
+            raise ValueError(f"trial index must be in 0..2^64-1, got {index}")
+        block, row = divmod(index, _BLOCK)
+        words = _block_words(self.seed, block)[row]
+        return np.random.Generator(np.random.PCG64(_seed_words(words)))
 
 
 def fresh_seed() -> int:
@@ -197,18 +279,18 @@ def sample_uniform_rooted_tree(n: int, variant: Variant = NORMAL,
 
     The dice throws are the code: uniform symbols -> uniform trees, by
     bijectivity; the variant changes which tree a given throw sequence maps
-    to but not the distribution.
+    to but not the distribution.  With no rng, one is seeded from system entropy.
     """
     if rng is None:
-        rng = RandomSource(fresh_seed()).trial_rng(0)
+        rng = np.random.default_rng()
     return decode_sequence(dice_deal(n, rng).tolist(), n, variant)
 
 
 def sample_uniform_labelled_tree(n: int, rng: np.random.Generator | None = None):
-    """Uniform unrooted labelled tree as a sorted edge list, via Prufer."""
+    """Uniform unrooted labelled tree as a sorted edge list, via Prufer; rng as above."""
     _check_positive(n, "n")
     if rng is None:
-        rng = RandomSource(fresh_seed()).trial_rng(0)
+        rng = np.random.default_rng()
     if n == 1:
         return []
     return prufer_decode(rng.integers(1, n + 1, size=n - 2))

@@ -291,16 +291,21 @@ def test_seed_at_either_end_of_64_bits_runs(capsys, seed):
 
 @pytest.mark.parametrize("unbuffered", ("", "1"), ids=("buffered", "unbuffered"))
 def test_closed_stdout_exits_141_quietly(unbuffered):
-    # about 290 KB of output, past the pipe's buffer, so the reader closes before the end;
-    # a closed pipe was reported as invalid input: "error: [Errno 32] Broken pipe", exit 2
-    proc = subprocess.Popen([sys.executable, "-m", "slithercode", "enumerate", "--n", "500"],
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                            env={**os.environ, "PYTHONUNBUFFERED": unbuffered})
-    assert proc.stdout.readline() == b"# family uniform-unrooted\n"
-    proc.stdout.close()
-    assert proc.wait(timeout=60) == 141
-    assert proc.stderr.read() == b""
-    proc.stderr.close()
+    # Each output runs past the pipe's buffer, so the reader closes before the end: enumerate
+    # prints about 290 KB in lines, sample about 250 KB in one write.  A closed pipe was
+    # reported as invalid input, "error: [Errno 32] Broken pipe", exit 2; and unbuffered,
+    # sample's raw write took part of its text and exited 0, the rest lost without an error
+    for argv, first in ((("enumerate", "--n", "500"), b"# family uniform-unrooted\n"),
+                        (("sample", "--family", "uniform", "--n", "20000", "--seed", "1"),
+                         b"20000 ")):
+        proc = subprocess.Popen([sys.executable, "-m", "slithercode", *argv],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                env={**os.environ, "PYTHONUNBUFFERED": unbuffered})
+        assert proc.stdout.readline().startswith(first)
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 141, argv
+        assert proc.stderr.read() == b""
+        proc.stderr.close()
 
 
 def test_simulate_threads_flag_starts_no_thread(capsys, monkeypatch):

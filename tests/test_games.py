@@ -2,7 +2,12 @@
 
 import itertools
 import math
+import os
+import pickle
 import re
+import subprocess
+import sys
+import warnings
 from collections import Counter
 from fractions import Fraction
 
@@ -71,6 +76,73 @@ def test_seeds_inside_64_bits_are_accepted(seed):
     assert RandomSource(seed).trial_rng(0).integers(1, 7, size=3).shape == (3,)
     hist = run_trials(lambda rng: dice_trial(6, rng), 10, seed, n=6, parameter="alpha")
     assert (hist.seed, hist.trials) == (seed, 10)
+
+
+def _splitmix64(seed: int, index: int) -> int:
+    # the scalar splitmix64 that seeded trial generators one at a time, kept as the oracle
+    mask = (1 << 64) - 1
+    z = (seed + (index + 1) * 0x9E3779B97F4A7C15) & mask
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+    return z ^ (z >> 31)
+
+
+def test_trial_rng_has_numpys_pcg64_state():
+    # the bulk seed words must give the state numpy gives the integer seed; seeds below
+    # 2^32 are one-word entropy, and the indices sit at block edges and at either end
+    seeds = [0, 1, 5, 2**32 - 1, 2**32, 2**63, 2**64 - 1,
+             *map(int, np.random.default_rng(18).integers(0, 2**64 - 1, 12, dtype=np.uint64))]
+    indices = (0, 1, 1023, 1024, 2049, 10**7 - 1, 2**64 - 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for seed in seeds:
+            source = RandomSource(seed)
+            for i in indices:
+                want = np.random.PCG64(_splitmix64(seed, i)).state
+                assert source.trial_rng(i).bit_generator.state == want, (seed, i)
+
+
+@pytest.mark.parametrize("j", (4, 700, 5000))  # same block as i, and a later block
+def test_trial_generators_draw_independently(j):
+    source = RandomSource(11)
+    whole = source.trial_rng(3).integers(0, 1 << 62, size=40)
+    first = source.trial_rng(3)
+    head = first.integers(0, 1 << 62, size=20)
+    source.trial_rng(j).integers(0, 1 << 62, size=1000)
+    source.trial_rng(3 + 2048).random(10)
+    tail = first.integers(0, 1 << 62, size=20)
+    assert (np.concatenate([head, tail]) == whole).all()
+
+
+@pytest.mark.parametrize("index", (-1, 2**64, -(2**64)))
+def test_trial_index_outside_64_bits_is_refused(index):
+    # splitmix64 reads the index mod 2^64, so -1 would repeat 2^64 - 1
+    with pytest.raises(ValueError, match=r"trial index must be in 0\.\.2\^64-1"):
+        RandomSource(5).trial_rng(index)
+
+
+def test_trial_generator_pickles_and_cannot_spawn():
+    rng = RandomSource(8).trial_rng(1500)
+    rng.random(3)
+    copy = pickle.loads(pickle.dumps(rng))
+    assert (copy.integers(0, 1 << 62, size=10) == rng.integers(0, 1 << 62, size=10)).all()
+    with pytest.raises(TypeError):
+        rng.spawn(1)
+
+
+def test_import_loads_no_numpy_random():
+    # numpy.random costs 10-15 ms to import; the first trial loads it, not the import
+    code = "import sys, slithercode, slithercode.cli; print('numpy.random' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=os.environ, check=True).stdout
+    assert out == "False\n"
+
+
+def test_samplers_draw_without_a_generator():
+    # with no rng they seed one from system entropy; they need no trial block for one draw
+    tree = sample_uniform_rooted_tree(30)
+    assert tree.n == 30 and len(tree.parent) == 29
+    assert len(sample_uniform_labelled_tree(30)) == 29
 
 
 def test_run_trials_is_seed_deterministic():

@@ -5,7 +5,8 @@ export whose definition is gone, or an import that nothing uses any more.
 One more keeps the command line drawing every family through games.DEALS,
 and every game through one coupon_read line; counting keeps no module-level
 list, so no cache, and its closed forms share one integrality check.  The
-strategic set and the path cover both read the one link pass, trees._links.
+strategic set and the path cover both read the one link pass, trees._links,
+and run_trials builds each trial's generator through RandomSource.trial_rng.
 """
 
 import ast
@@ -96,3 +97,14 @@ def test_links_are_chosen_in_one_pass(name):
     called = {node.func.id for node in ast.walk(func)
               if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
     assert "_links" in called and "classify" not in called, f"{name} calls {sorted(called)}"
+
+
+def test_run_trials_builds_each_generator_through_trial_rng():
+    # the one path from (seed, index) to a generator, which sample and verify take too
+    func = next(node for node in parse(PACKAGE / "games.py").body
+                if isinstance(node, ast.FunctionDef) and node.name == "run_trials")
+    attrs = {node.attr for node in ast.walk(func) if isinstance(node, ast.Attribute)}
+    names = {node.id for node in ast.walk(func) if isinstance(node, ast.Name)}
+    assert "trial_rng" in attrs, f"run_trials reads {sorted(attrs)}"
+    built = (attrs | names) & {"Generator", "PCG64", "default_rng", "_block_words", "_seed_words"}
+    assert not built, f"run_trials builds generators itself: {sorted(built)}"
