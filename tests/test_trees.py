@@ -31,7 +31,7 @@ from slithercode import (
 
 from slithercode import cli
 from slithercode.cli import parse_tree
-from slithercode.trees import _bulk_tree, _tree_by_entry
+from slithercode.trees import _tree_by_entry
 
 from conftest import random_tree
 
@@ -98,6 +98,14 @@ def test_validate_single_vertex():
         # the (n, root, parent) triple and a RootedTree are not read as input
         ((4, 1, {2: 1, 3: 1, 4: 3}), "^cannot interpret tuple as a rooted tree$"),
         (RootedTree(n=2, root=1, parent={2: 1}), "^cannot interpret RootedTree as a rooted tree$"),
+        # labels past int64 are never read as int64, so they give the roots message
+        ({"n": 10**30, "parent": {2: 10**20}}, "^multiple roots: 9{30} vertices have no parent"),
+        ({"n": 3, "parent": np.array([[2, 1], [2, 1]])}, "^duplicate parent entry for vertex 2$"),
+        ({"n": 3, "parent": np.array([[2, 2], [3, 1]])}, "^vertex 2 listed as its own parent$"),
+        ({"n": 1, "parent": {1: 1}}, "^vertex 1 listed as its own parent$"),
+        ({"n": 1, "root": 2}, "^declared root 2 but vertex 1 has no parent$"),
+        ({"n": 5, "parent": [(2, 3), (3, 2), (4, 1), (5, 4)]},
+         r"^cycle detected through vertices \[2, 3\]$"),
     ),
 )
 def test_validate_rejects(data, fragment):
@@ -182,7 +190,8 @@ def test_bulk_validation_agrees_with_the_per_entry_loop(case, form):
     want = outcome(lambda: _tree_by_entry(n, pairs, declared))
     assert outcome(build) == want
     if n > 1 and not isinstance(want, str):  # valid input never needs the per-entry loop
-        assert _bulk_tree(n, [c for c, _ in pairs], [p for _, p in pairs], declared) == want[0]
+        with mock.patch("slithercode.trees._tree_by_entry", side_effect=AssertionError("walked")):
+            assert outcome(build) == want
 
 
 # Text the bulk reader must leave to the token path, or read as it reads:
