@@ -213,9 +213,10 @@ def validate_tree(data) -> RootedTree:
     place of the parent dict.
     Raises TreeError naming the defect: a parent that is neither a map nor
     pairs, label out of range, duplicate parent entry, multiple roots (past
-    10, the first 10 and their count), root mismatch, or a cycle.  Valid
-    input is checked in bulk; the entries are walked one at a time only when
-    a check fails, so the message names the same first defect either way.
+    10, the first 10 and their count), root mismatch, or a cycle.  Each
+    check runs once, in that order: the entries, read in bulk and walked
+    one at a time only to name a bad one, then the root count, the declared
+    root, and cycles by pointer doubling.
     """
     if not isinstance(data, dict):
         raise TreeError(f"cannot interpret {type(data).__name__} as a rooted tree")
@@ -246,51 +247,80 @@ def validate_tree(data) -> RootedTree:
                                 "is not a (child, parent) pair")
             kids.append(e[0])
             pars.append(e[1])
-    declared = data.get("root")
-    tree = _bulk_tree(n, kids, pars, declared)
-    return tree if tree is not None else _tree_by_entry(n, zip(kids, pars), declared)
+
+    return _tree(n, kids, pars, data.get("root"))
 
 
-def _bulk_tree(n: int, kids, pars, declared) -> RootedTree | None:
-    """The tree when every check passes, None when any fails.
+def _tree(n: int, kids, pars, declared) -> RootedTree:
+    """The tree of the (child, parent) columns, each check written once, in message order."""
+    c, p = _entries(n, kids, pars)
+    # every entry has a distinct child in 1..n, so n - len(c) vertices
+    # lack a parent, and the first 10 of them lie among labels 1..len(c)+10
+    roots = n - len(c)
+    if not roots:
+        raise TreeError("every vertex has a parent, so the parent map closes a cycle")
+    if roots > 1:
+        children = set(c)
+        rootless = list(islice((v for v in range(1, n + 1) if v not in children), 10))
+        if roots > 10:
+            raise TreeError(f"multiple roots: {roots} vertices have no parent, "
+                            f"the first 10 are {rootless}")
+        raise TreeError(f"multiple roots: vertices {rootless} have no parent")
+    root = n * (n + 1) // 2 - int(c.sum())  # the one label that is not a child
 
-    kids and pars are int64 columns; lists are read through _strict_ints
-    first.  Range and duplicates are checked in numpy; the root is the one
-    label that is not a child, and the walk for cycles, self-parents
-    included, is pointer doubling: after k rounds up[v] is v's ancestor 2^k
-    steps up, or the root, so every vertex reaches the root within
-    n.bit_length() rounds unless a cycle holds it.
-    """
-    if n == 1 or len(kids) != n - 1:
-        return None
-    try:
-        c, p = (np.asarray(x if isinstance(x, np.ndarray) else _strict_ints(x, "label"),
-                           dtype=np.int64) for x in (kids, pars))
-        if declared is not None:
+    if declared is not None:
+        try:
             declared = _strict_int(declared)
-    except (ValueError, OverflowError):
-        return None
-    if min(c.min(), p.min()) < 1 or max(c.max(), p.max()) > n:
-        return None
-    seen = np.bincount(c, minlength=n + 1)
-    if seen.max() > 1:
-        return None
-    root = int(seen[1:].argmin()) + 1
-    if declared is not None and declared != root:
-        return None
-    up = np.empty(n + 1, dtype=np.int64)
-    up[0], up[root], up[c] = 0, root, p
+        except ValueError:
+            raise TreeError(f"non-integer declared root {_echo(declared)}") from None
+        if declared != root:
+            raise TreeError(f"declared root {declared} but vertex {root} has no parent")
+
+    # pointer doubling: after k rounds top[v] is v's ancestor 2^k steps up,
+    # or the root, so every vertex reaches the root within n.bit_length()
+    # rounds unless a cycle holds it
+    up = np.zeros(n + 1, dtype=np.int64)
+    up[root], up[c] = root, p
+    top = up
     for _ in range(n.bit_length()):
-        up = up[up]
-    if (up[1:] != root).any():
-        return None
+        top = top[top]
+    stuck = np.flatnonzero(top[1:] != root)
+    if len(stuck):  # the walk up from the smallest stuck vertex closes its cycle
+        up, walk = up.tolist(), {}
+        v = int(stuck[0]) + 1
+        while v not in walk:
+            walk[v] = len(walk)
+            v = up[v]
+        raise TreeError(f"cycle detected through vertices {list(walk)[walk[v]:]}")
     return RootedTree(n=n, root=root, parent=dict(zip(c.tolist(), p.tolist())))
 
 
-def _tree_by_entry(n: int, pairs, declared) -> RootedTree:
-    """Check the (child, parent) pairs one at a time; raise naming the first defect."""
+def _entries(n: int, kids, pars):
+    """The entries as two int64 arrays when there are n - 1 and all are good.
+
+    With n - 1 entries a good label fits in int64 and bincount needs only
+    n + 1 bins, so range, self-parents and repeated children are checked in
+    numpy.  On a failed check _entry_by_entry names the first bad entry; any
+    other count is walked there too, and its good entries, as lists, then
+    fail the root count.
+    """
+    if len(kids) == n - 1:
+        try:
+            c, p = (np.asarray(x if isinstance(x, np.ndarray) else _strict_ints(x, "label"),
+                               dtype=np.int64) for x in (kids, pars))
+        except (ValueError, OverflowError):
+            pass
+        else:
+            if not ((c < 1) | (c > n) | (p < 1) | (p > n) | (c == p)).any() \
+                    and np.bincount(c, minlength=n + 1).max() <= 1:
+                return c, p
+    return _entry_by_entry(n, kids, pars)
+
+
+def _entry_by_entry(n: int, kids, pars) -> tuple[list[int], list[int]]:
+    """The entries as ints, walked in order; raise TreeError naming the first bad one."""
     parent: dict[int, int] = {}
-    for c, p in pairs:
+    for c, p in zip(kids, pars):
         try:
             c, p = _strict_int(c), _strict_int(p)
         except ValueError:
@@ -303,48 +333,7 @@ def _tree_by_entry(n: int, pairs, declared) -> RootedTree:
         if c == p:
             raise TreeError(f"vertex {c} listed as its own parent")
         parent[c] = p
-
-    # every entry has a distinct child in 1..n, so n - len(parent) vertices
-    # lack a parent, and the first 10 of them lie among labels 1..len(parent)+10
-    roots = n - len(parent)
-    if not roots:
-        raise TreeError("every vertex has a parent, so the parent map closes a cycle")
-    rootless = list(islice((v for v in range(1, n + 1) if v not in parent), 10))
-    if roots > 10:
-        raise TreeError(f"multiple roots: {roots} vertices have no parent, "
-                        f"the first 10 are {rootless}")
-    if roots > 1:
-        raise TreeError(f"multiple roots: vertices {rootless} have no parent")
-    root = rootless[0]
-
-    if declared is not None:
-        try:
-            declared = _strict_int(declared)
-        except ValueError:
-            raise TreeError(f"non-integer declared root {_echo(declared)}") from None
-        if declared != root:
-            raise TreeError(f"declared root {declared} but vertex {root} has no parent")
-
-    # each non-root vertex has exactly one parent, so any unreachable part
-    # of the functional graph must close a cycle
-    state = [0] * (n + 1)  # 0 unvisited, 1 on current walk, 2 done
-    state[root] = 2
-    for start in range(1, n + 1):
-        if state[start]:
-            continue
-        walk = []
-        v = start
-        while state[v] == 0:
-            state[v] = 1
-            walk.append(v)
-            v = parent[v]
-        if state[v] == 1:
-            cyc = walk[walk.index(v):]
-            raise TreeError(f"cycle detected through vertices {cyc}")
-        for w in walk:
-            state[w] = 2
-
-    return RootedTree(n=n, root=root, parent=parent)
+    return list(parent), list(parent.values())
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """Tree validation, position classification, and the optimal-play certificates."""
 
 import itertools
+from itertools import islice
 import tracemalloc
 from collections import Counter
 from unittest import mock
@@ -31,7 +32,7 @@ from slithercode import (
 
 from slithercode import cli
 from slithercode.cli import parse_tree
-from slithercode.trees import _tree_by_entry
+from slithercode.trees import _echo, _strict_int
 
 from conftest import random_tree
 
@@ -113,6 +114,68 @@ def test_validate_rejects(data, fragment):
         validate_tree(data)
 
 
+# The per-entry loop and three-state walk validate_tree ran before its checks
+# were written once; kept as the independent reference for the property below.
+def _tree_by_entry(n: int, pairs, declared) -> RootedTree:
+    """Check the (child, parent) pairs one at a time; raise naming the first defect."""
+    parent: dict[int, int] = {}
+    for c, p in pairs:
+        try:
+            c, p = _strict_int(c), _strict_int(p)
+        except ValueError:
+            raise TreeError("non-integer labels in parent entry "
+                            f"({_echo(c)}, {_echo(p)})") from None
+        if not (1 <= c <= n) or not (1 <= p <= n):
+            raise TreeError(f"label out of range 1..{n} in parent entry ({c}, {p})")
+        if c in parent:
+            raise TreeError(f"duplicate parent entry for vertex {c}")
+        if c == p:
+            raise TreeError(f"vertex {c} listed as its own parent")
+        parent[c] = p
+
+    # every entry has a distinct child in 1..n, so n - len(parent) vertices
+    # lack a parent, and the first 10 of them lie among labels 1..len(parent)+10
+    roots = n - len(parent)
+    if not roots:
+        raise TreeError("every vertex has a parent, so the parent map closes a cycle")
+    rootless = list(islice((v for v in range(1, n + 1) if v not in parent), 10))
+    if roots > 10:
+        raise TreeError(f"multiple roots: {roots} vertices have no parent, "
+                        f"the first 10 are {rootless}")
+    if roots > 1:
+        raise TreeError(f"multiple roots: vertices {rootless} have no parent")
+    root = rootless[0]
+
+    if declared is not None:
+        try:
+            declared = _strict_int(declared)
+        except ValueError:
+            raise TreeError(f"non-integer declared root {_echo(declared)}") from None
+        if declared != root:
+            raise TreeError(f"declared root {declared} but vertex {root} has no parent")
+
+    # each non-root vertex has exactly one parent, so any unreachable part
+    # of the functional graph must close a cycle
+    state = [0] * (n + 1)  # 0 unvisited, 1 on current walk, 2 done
+    state[root] = 2
+    for start in range(1, n + 1):
+        if state[start]:
+            continue
+        walk = []
+        v = start
+        while state[v] == 0:
+            state[v] = 1
+            walk.append(v)
+            v = parent[v]
+        if state[v] == 1:
+            cyc = walk[walk.index(v):]
+            raise TreeError(f"cycle detected through vertices {cyc}")
+        for w in walk:
+            state[w] = 2
+
+    return RootedTree(n=n, root=root, parent=parent)
+
+
 def line_of_descent(tree, v):
     """v and its ancestors below the root."""
     while v != tree.root:
@@ -189,8 +252,8 @@ def test_bulk_validation_agrees_with_the_per_entry_loop(case, form):
         build = lambda: validate_tree({"n": n, "root": declared, "parent": raw})
     want = outcome(lambda: _tree_by_entry(n, pairs, declared))
     assert outcome(build) == want
-    if n > 1 and not isinstance(want, str):  # valid input never needs the per-entry loop
-        with mock.patch("slithercode.trees._tree_by_entry", side_effect=AssertionError("walked")):
+    if not isinstance(want, str):  # valid input never needs the per-entry loop
+        with mock.patch("slithercode.trees._entry_by_entry", side_effect=AssertionError("walked")):
             assert outcome(build) == want
 
 
