@@ -212,11 +212,11 @@ def validate_tree(data) -> RootedTree:
     (child, parent) pairs, or an integer array of them, is also accepted in
     place of the parent dict.
     Raises TreeError naming the defect: a parent that is neither a map nor
-    pairs, label out of range, duplicate parent entry, multiple roots (past
-    10, the first 10 and their count), root mismatch, or a cycle.  Each
-    check runs once, in that order: the entries, read in bulk and walked
-    one at a time only to name a bad one, then the root count, the declared
-    root, and cycles by pointer doubling.
+    pairs, label out of range, duplicate parent entry, multiple roots, root
+    mismatch, or a cycle; past 10 roots or cycle vertices, it names the
+    first 10 and their count.  Each check runs once, in that order: the
+    entries, read in bulk and walked one at a time only to name a bad one,
+    then the root count, the declared root, and cycles by pointer doubling.
     """
     if not isinstance(data, dict):
         raise TreeError(f"cannot interpret {type(data).__name__} as a rooted tree")
@@ -291,7 +291,10 @@ def _tree(n: int, kids, pars, declared) -> RootedTree:
         while v not in walk:
             walk[v] = len(walk)
             v = up[v]
-        raise TreeError(f"cycle detected through vertices {list(walk)[walk[v]:]}")
+        cycle = list(walk)[walk[v]:]
+        named = (f"vertices {cycle}" if len(cycle) <= 10
+                 else f"{len(cycle)} vertices, the first 10 are {cycle[:10]}")
+        raise TreeError(f"cycle detected through {named}")
     return RootedTree(n=n, root=root, parent=dict(zip(c.tolist(), p.tolist())))
 
 

@@ -169,11 +169,24 @@ def _tree_by_entry(n: int, pairs, declared) -> RootedTree:
             v = parent[v]
         if state[v] == 1:
             cyc = walk[walk.index(v):]
+            if len(cyc) > 10:
+                raise TreeError(f"cycle detected through {len(cyc)} vertices, "
+                                f"the first 10 are {cyc[:10]}")
             raise TreeError(f"cycle detected through vertices {cyc}")
         for w in walk:
             state[w] = 2
 
     return RootedTree(n=n, root=root, parent=parent)
+
+
+def test_a_long_cycle_is_named_by_its_count_and_first_10_vertices():
+    # 1 is the root; 2 -> 3 -> ... -> n -> 2 is one cycle of 2 * 10^5 vertices
+    n = 200_001
+    parent = {v: v + 1 for v in range(2, n)} | {n: 2}
+    with pytest.raises(TreeError) as err:
+        validate_tree({"n": n, "parent": parent})
+    assert str(err.value) == ("cycle detected through 200000 vertices, "
+                              "the first 10 are [2, 3, 4, 5, 6, 7, 8, 9, 10, 11]")
 
 
 def line_of_descent(tree, v):
