@@ -43,6 +43,10 @@ class SlitherCode:
     symbols: tuple[int, ...]
 
     def __post_init__(self):
+        try:
+            object.__setattr__(self, "n", _strict_int(self.n, "n"))
+        except ValueError as exc:
+            raise CodeError(str(exc)) from None
         if self.n < 1:
             raise CodeError(f"n must be >= 1, got {self.n}")
         try:

@@ -115,6 +115,7 @@ class RandomSource:
     seed: int
 
     def __post_init__(self):
+        object.__setattr__(self, "seed", _strict_int(self.seed, "seed"))
         # splitmix64 reads the seed mod 2^64, so a seed outside the range would repeat one inside
         if not 0 <= self.seed <= _MASK64:
             raise ValueError(f"seed must be in 0..2^64-1, got {self.seed}")
@@ -174,6 +175,7 @@ class Deck:
     multiplicities: tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "n", _strict_int(self.n, "n"))
         mult = tuple(_strict_int(m, "multiplicity") for m in self.multiplicities)
         object.__setattr__(self, "multiplicities", mult)
         _check_positive(self.n, "n")
@@ -340,16 +342,21 @@ class TrialHistogram:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "TrialHistogram":
-        """Read integers strictly; every field is required, counts is an object with one
-        key per value, n and trials are >= 1, counts >= 0 and sum to trials."""
+        """Read integers strictly; every field is required, parameter is a string, counts
+        is an object with one key per value, n and trials are >= 1, the seed is one
+        RandomSource takes, counts are >= 0 and sum to trials."""
+        if not isinstance(d, dict):
+            raise ValueError(f"a histogram must be an object, got {_echo(d)}")
         missing = [k for k in ("parameter", "n", "trials", "seed", "counts") if k not in d]
         if missing:
             raise ValueError(f"missing field(s) {', '.join(missing)}")
         raw = d["counts"]
         if not isinstance(raw, dict):
             raise ValueError(f"counts must be an object, got {_echo(raw)}")
-        hist = cls(parameter=str(d["parameter"]), n=_strict_int(d["n"], "n"),
-                   trials=_strict_int(d["trials"], "trials"), seed=_strict_int(d["seed"], "seed"),
+        if not isinstance(d["parameter"], str):
+            raise ValueError(f"parameter must be a string, got {_echo(d['parameter'])}")
+        hist = cls(parameter=d["parameter"], n=_strict_int(d["n"], "n"),
+                   trials=_strict_int(d["trials"], "trials"), seed=RandomSource(d["seed"]).seed,
                    counts={_strict_int(v, "count key"): _strict_int(c, "count")
                            for v, c in raw.items()})
         if len(hist.counts) != len(raw):
@@ -377,7 +384,7 @@ def run_trials(trial, trials: int, seed: int, *, n: int, parameter: str,
     _check_positive(trials, "trials")
     source = RandomSource(seed)
     counts = Counter(trial(source.trial_rng(i)) for i in range(trials))
-    return TrialHistogram(parameter=parameter, n=n, trials=trials, seed=seed,
+    return TrialHistogram(parameter=parameter, n=n, trials=trials, seed=source.seed,
                           counts=dict(sorted(counts.items())))
 
 

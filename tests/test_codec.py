@@ -1,5 +1,6 @@
 """Encode/decode round trips and the prefix reading rules."""
 
+import re
 from itertools import product
 
 import numpy as np
@@ -96,6 +97,18 @@ def test_code_normalizes_symbols():
 def test_code_rejects(n, symbols, fragment):
     with pytest.raises(CodeError, match=fragment):
         SlitherCode(n=n, variant=NORMAL, symbols=symbols)
+
+
+@pytest.mark.parametrize("n, shown", ((True, "True"), (3.0, "3.0"), (None, "None"), ("x", "'x'")))
+def test_code_reads_n_strictly(n, shown):
+    with pytest.raises(CodeError, match=f"^n must be an integer, got {re.escape(shown)}$"):
+        SlitherCode(n=n, variant=NORMAL, symbols=(1, 2))
+
+
+@pytest.mark.parametrize("n", ("3", np.int64(3)))
+def test_code_reads_n_as_an_int(n):
+    code = SlitherCode(n=n, variant=NORMAL, symbols=(1, 2))
+    assert type(code.n) is int and code.n == 3
 
 
 def test_single_vertex_conventions():

@@ -71,6 +71,22 @@ def test_seeds_outside_64_bits_are_refused(seed):
             make()
 
 
+@pytest.mark.parametrize("seed, shown", ((True, "True"), (1.5, "1.5"), (None, "None"),
+                                         ("x", "'x'")))
+def test_seeds_are_read_strictly(seed, shown):
+    trial = lambda rng: dice_trial(6, rng)
+    for make in (lambda: RandomSource(seed),
+                 lambda: run_trials(trial, 10, seed, n=6, parameter="alpha")):
+        with pytest.raises(ValueError, match=f"^seed must be an integer, got {re.escape(shown)}$"):
+            make()
+
+
+def test_a_seed_in_text_is_read_as_an_int():
+    assert RandomSource("7") == RandomSource(7)
+    assert run_trials(lambda rng: dice_trial(6, rng), 10, "7", n=6, parameter="alpha") == \
+        run_trials(lambda rng: dice_trial(6, rng), 10, 7, n=6, parameter="alpha")
+
+
 @pytest.mark.parametrize("seed", (0, 1, 2**63, 2**64 - 1))
 def test_seeds_inside_64_bits_are_accepted(seed):
     assert RandomSource(seed).trial_rng(0).integers(1, 7, size=3).shape == (3,)
@@ -220,6 +236,18 @@ def test_deck_for_tree_matches_out_degrees(fig1):
 def test_deck_rejects(n, mult, fragment):
     with pytest.raises(ValueError, match=fragment):
         Deck(n=n, multiplicities=mult)
+
+
+@pytest.mark.parametrize("n, mult, shown", ((True, (0,), "True"), (2.0, (1, 0), "2.0"),
+                                             ("x", (1, 0), "'x'"), (None, (1, 0), "None")))
+def test_deck_reads_n_strictly(n, mult, shown):
+    with pytest.raises(ValueError, match=f"^n must be an integer, got {re.escape(shown)}$"):
+        Deck(n=n, multiplicities=mult)
+
+
+def test_deck_reads_n_as_an_int():
+    d = Deck(n="2", multiplicities=(1, 0))
+    assert type(d.n) is int and d.cards().tolist() == [1]
 
 
 def test_card_trial_matches_the_exhaustive_conditional_law():
@@ -448,12 +476,22 @@ def test_histogram_from_json_refuses_non_integers(field, bad, message):
     ("counts", {"1": 2, "2": 1}, "counts sum to 3, not to trials = 2"),
     ("counts", [["1", 2]], "counts must be an object, got [['1', 2]]"),
     ("counts", {"1": 1, "01": 1}, "two count keys spell the same value in ['1', '01']"),
+    ("parameter", None, "parameter must be a string, got None"),
+    ("parameter", 5, "parameter must be a string, got 5"),
+    ("seed", -5, "seed must be in 0..2^64-1, got -5"),
+    ("seed", 2**70, f"seed must be in 0..2^64-1, got {2**70}"),
 ], ids=("n", "trials", "negative-count", "short-sum", "long-sum", "counts-not-object",
-        "repeated-key"))
+        "repeated-key", "parameter-null", "parameter-int", "negative-seed", "seed-past-64-bits"))
 def test_histogram_from_json_checks_its_invariants(field, bad, message):
     good = {"parameter": "alpha", "n": 5, "trials": 2, "seed": 3, "counts": {"1": 2}}
     with pytest.raises(ValueError, match=re.escape(message)):
         TrialHistogram.from_json_dict({**good, field: bad})
+
+
+@pytest.mark.parametrize("d", (5, None, [["n", 5]], "alpha"))
+def test_histogram_from_json_refuses_a_non_object(d):
+    with pytest.raises(ValueError, match=f"^a histogram must be an object, got {re.escape(repr(d))}$"):
+        TrialHistogram.from_json_dict(d)
 
 
 @pytest.mark.parametrize("field", ("parameter", "n", "trials", "seed", "counts"))
