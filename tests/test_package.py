@@ -4,7 +4,8 @@ No linter is a dependency, so these catch what a deletion leaves behind: an
 export whose definition is gone, or an import that nothing uses any more.
 One more keeps the command line drawing every family through games.DEALS,
 and every game through one coupon_read line; counting keeps no module-level
-list, so no cache, and its closed forms share one integrality check.  The
+list, so no cache, and its closed forms share one integrality check; a tree's
+root count, declared root and cycles are each checked in one place.  The
 strategic set and the path cover both read the one link pass, trees._links,
 and run_trials builds each trial's generator through RandomSource.trial_rng.
 """
@@ -83,10 +84,22 @@ def test_counting_keeps_no_module_level_list():
     assert not lists, f"counting.py assigns a list at module level on lines {lists}"
 
 
+def lines_with(phrase: str) -> list[tuple[str, int]]:
+    """(module, line number) of each package source line that holds phrase."""
+    return [(path.name, i) for path in MODULES
+            for i, line in enumerate(path.read_text().splitlines(), 1) if phrase in line]
+
+
 def test_closed_forms_have_one_integrality_check():
-    found = [(path.name, i) for path in MODULES
-             for i, line in enumerate(path.read_text().splitlines(), 1) if "not integral" in line]
+    found = lines_with("not integral")
     assert len(found) == 1, f"'not integral' should occur once in the package: {found}"
+
+
+@pytest.mark.parametrize("phrase", ("closes a cycle", "cycle detected through", "but vertex"))
+def test_tree_checks_have_one_copy(phrase):
+    # the messages of validate_tree's root count, declared-root check and cycle search
+    found = lines_with(phrase)
+    assert len(found) == 1, f"{phrase!r} should occur once in the package: {found}"
 
 
 @pytest.mark.parametrize("name", ("strategic_set", "path_cover_decomposition"))
