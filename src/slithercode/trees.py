@@ -276,26 +276,25 @@ def _tree(n: int, kids, pars, declared) -> RootedTree:
         if declared != root:
             raise TreeError(f"declared root {declared} but vertex {root} has no parent")
 
-    # pointer doubling: after k rounds top[v] is v's ancestor 2^k steps up,
+    # pointer doubling: after k rounds up[v] is v's ancestor 2^k steps up,
     # or the root, so every vertex reaches the root within n.bit_length()
     # rounds unless a cycle holds it
+    parent = dict(zip(c.tolist(), p.tolist()))
     up = np.zeros(n + 1, dtype=np.int64)
     up[root], up[c] = root, p
-    top = up
     for _ in range(n.bit_length()):
-        top = top[top]
-    stuck = np.flatnonzero(top[1:] != root)
+        up = up[up]
+    stuck = np.flatnonzero(up[1:] != root)
     if len(stuck):  # the walk up from the smallest stuck vertex closes its cycle
-        up, walk = up.tolist(), {}
-        v = int(stuck[0]) + 1
+        walk, v = {}, int(stuck[0]) + 1
         while v not in walk:
             walk[v] = len(walk)
-            v = up[v]
+            v = parent[v]
         cycle = list(walk)[walk[v]:]
         named = (f"vertices {cycle}" if len(cycle) <= 10
                  else f"{len(cycle)} vertices, the first 10 are {cycle[:10]}")
         raise TreeError(f"cycle detected through {named}")
-    return RootedTree(n=n, root=root, parent=dict(zip(c.tolist(), p.tolist())))
+    return RootedTree(n=n, root=root, parent=parent)
 
 
 def _entries(n: int, kids, pars):
