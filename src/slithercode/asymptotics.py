@@ -15,6 +15,7 @@ import math
 from dataclasses import asdict, dataclass, fields
 
 from .games import dice_trial, run_trials
+from .trees import _strict_int
 
 
 def solve_fixed_point(g) -> float:
@@ -128,6 +129,7 @@ def clt_check(n: int, trials: int, seed: int, threads: int | None = None) -> Clt
     artifact, about phi(0)/(2*sigma*sqrt(n)), swamping any real deviation.
     threads accepts only None or 1, as in run_trials.
     """
+    n, trials = _strict_int(n, "n"), _strict_int(trials, "trials")
     if n < 100:
         raise ValueError(f"clt check needs n >= 100, got {n}")
     if trials < 10_000:

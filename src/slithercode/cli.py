@@ -392,6 +392,14 @@ def cmd_verify(args) -> int:
 # --- argument parsing -------------------------------------------------------
 
 
+def _flag_int(text: str) -> int:
+    """An integer flag, read by the rule input integers follow: a sign, then ASCII digits."""
+    return _strict_int(text)
+
+
+_flag_int.__name__ = "int"  # argparse's message names the type: "invalid int value: 'x'"
+
+
 class _Parser(argparse.ArgumentParser):
     """An ArgumentParser, and its subparsers, that cut an error as _echo cuts a value."""
 
@@ -425,30 +433,30 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decode", help="slither code -> rooted tree")
     p.add_argument("input", nargs="?", default="-")
     variant(p)
-    p.add_argument("--n", type=int, default=None,
+    p.add_argument("--n", type=_flag_int, default=None,
                    help="vertex count; default from header or length+1")
     fmt(p)
     p.set_defaults(func=cmd_decode)
 
     p = sub.add_parser("params", help="tree parameters and classifications")
     p.add_argument("input", nargs="?", default="-")
-    p.add_argument("--b", type=int, default=2, help="capacity for capacity_edges (default 2)")
+    p.add_argument("--b", type=_flag_int, default=2, help="capacity for capacity_edges (default 2)")
     fmt(p)
     p.set_defaults(func=cmd_params)
 
     p = sub.add_parser("read", help="read parameters off a code without decoding")
     p.add_argument("input", nargs="?", default="-")
     variant(p)
-    p.add_argument("--n", type=int, default=None)
+    p.add_argument("--n", type=_flag_int, default=None)
     fmt(p)
     p.set_defaults(func=cmd_read)
 
     p = sub.add_parser("sample", help="draw random trees")
     p.add_argument("--family", required=True,
                    choices=["uniform" if f == "dice" else f for f in games.DEALS])
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--count", type=int, default=1)
-    p.add_argument("--seed", type=int, default=None,
+    p.add_argument("--n", type=_flag_int, required=True)
+    p.add_argument("--count", type=_flag_int, default=1)
+    p.add_argument("--seed", type=_flag_int, default=None,
                    help="omit to draw one from system entropy (echoed to stderr)")
     p.add_argument("--variant", type=Variant.parse, default=NORMAL,
                    metavar="{normal|comply|b=K}",
@@ -459,24 +467,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="run game trials, output a histogram")
     p.add_argument("--game", choices=[*games.DEALS, "cards"], required=True)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--n", type=_flag_int, default=None)
+    p.add_argument("--trials", type=_flag_int, required=True)
+    p.add_argument("--seed", type=_flag_int, default=None)
     p.add_argument("--deck", type=str, default=None,
                    help="cards game: n multiplicities summing to n-1, e.g. '2 2 0 0 0 0 0'")
-    p.add_argument("--threads", type=int, default=None,
+    p.add_argument("--threads", type=_flag_int, default=None,
                    help="trials run on one thread; only 1 is accepted, kept for old scripts")
     fmt(p)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("enumerate", help="exact distribution tables")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_flag_int, required=True)
     p.add_argument("--family", choices=("uniform", "full-binary"), default="uniform")
     p.add_argument("--parameter", default=None,
                    choices=[p.replace("_", "-") for p in counting._ROOTED_PARAMETERS],
                    help="rooted exhaustive sweep (n <= 7); default: closed-form "
                         "unrooted independence table")
-    p.add_argument("--b", type=int, default=None,
+    p.add_argument("--b", type=_flag_int, default=None,
                    help="capacity for --parameter capacity-edges only (default 2)")
     fmt(p)
     p.set_defaults(func=cmd_enumerate)
@@ -486,9 +494,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_constants)
 
     p = sub.add_parser("clt", help="dice game vs limiting normal law")
-    p.add_argument("--n", type=int, default=2000)
-    p.add_argument("--trials", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--n", type=_flag_int, default=2000)
+    p.add_argument("--trials", type=_flag_int, default=100_000)
+    p.add_argument("--seed", type=_flag_int, default=None)
     fmt(p)
     p.set_defaults(func=cmd_clt)
 

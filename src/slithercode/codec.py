@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .trees import (COMPLY, NORMAL, RootedTree, Variant, _echo, _prune, _strict_int,
-                    _strict_ints)
+from .trees import (COMPLY, NORMAL, RootedTree, Variant, _check_positive, _echo, _prune,
+                    _strict_int, _strict_ints)
 
 
 class CodeError(ValueError):
@@ -43,12 +43,7 @@ class SlitherCode:
     symbols: tuple[int, ...]
 
     def __post_init__(self):
-        try:
-            object.__setattr__(self, "n", _strict_int(self.n, "n"))
-        except ValueError as exc:
-            raise CodeError(str(exc)) from None
-        if self.n < 1:
-            raise CodeError(f"n must be >= 1, got {self.n}")
+        object.__setattr__(self, "n", _check_positive(self.n, "n", CodeError))
         try:
             sym = tuple(_strict_ints(tuple(self.symbols), "symbol"))
         except ValueError as exc:
@@ -275,8 +270,7 @@ def read_capacity_edges(code: SlitherCode, b: int):
 
 def prufer_encode(n: int, edges) -> tuple[int, ...]:
     """Classical Prufer sequence of a labelled unrooted tree, length n-2."""
-    if n < 1:
-        raise CodeError(f"n must be >= 1, got {n}")
+    n = _check_positive(n, "n", CodeError)
     adj: list[list[int]] = [[] for _ in range(n + 1)]
     count = 0
     for u, v in edges:

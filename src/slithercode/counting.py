@@ -107,20 +107,20 @@ def _independence_counts(n: int):
 
 def count_independence(n: int, alpha: int) -> int:
     """Labelled unrooted trees on n vertices with independence number alpha."""
-    _check_positive(n, "n")
+    n = _check_positive(n, "n")
     return next(c for a, c in _independence_counts(n) if a == alpha) if 1 <= alpha <= n else 0
 
 
 def independence_table(n: int) -> DistributionTable:
     """Distribution of the independence number over uniform unrooted trees."""
-    _check_positive(n, "n")
+    n = _check_positive(n, "n")
     return DistributionTable(family="uniform-unrooted", parameter="independence", n=n,
                              counts=dict(_independence_counts(n)), total=n ** max(n - 2, 0))
 
 
 def expected_alpha(n: int) -> Fraction:
     """Exact mean independence number of a uniform labelled tree on n vertices."""
-    _check_positive(n, "n")
+    n = _check_positive(n, "n")
     return sum(Fraction(math.comb(n, k)) * Fraction(-k, n) ** (k - 1)
                for k in range(1, n + 1))
 
@@ -132,7 +132,7 @@ def count_full_binary(m: int, alpha: int) -> int:
     whose coupon read stops at alpha.  Two factorial products; reciprocal
     factorials kill the terms outside the support.
     """
-    _check_positive(m, "m")
+    m = _check_positive(m, "m")
     if not (1 <= alpha <= 2 * m):
         return 0
     fm = Fraction(math.factorial(m))
@@ -148,7 +148,7 @@ def count_full_binary(m: int, alpha: int) -> int:
 
 
 def full_binary_table(m: int) -> DistributionTable:
-    _check_positive(m, "m")
+    m = _check_positive(m, "m")
     return DistributionTable(family="full-binary-deck", parameter="independence", n=2 * m + 1,
                              counts={a: count_full_binary(m, a) for a in range(1, 2 * m + 1)},
                              total=math.factorial(2 * m) // 2 ** m)
@@ -159,12 +159,13 @@ def all_codes(n: int):
     return product(range(1, n + 1), repeat=n - 1)
 
 
-def _check_budget(n: int):
-    _check_positive(n, "n")
+def _check_budget(n: int) -> int:
+    n = _check_positive(n, "n")
     if n > _ENUM_BUDGET:
         raise ValueError(
             f"enumeration budget exceeded: n={n} means {n}^{n - 1} sequences, "
             f"capped at n <= {_ENUM_BUDGET}")
+    return n
 
 
 # Each rooted parameter as (capacity b, complemented): the capacity-edge count
@@ -188,7 +189,7 @@ def exact_rooted_distribution(n: int, parameter: str = "independence",
     """
     if parameter not in _ROOTED_PARAMETERS:
         raise ValueError(f"unknown parameter {parameter!r}, not one of {[*_ROOTED_PARAMETERS]}")
-    _check_budget(n)
+    n = _check_budget(n)
     cap, complement = _ROOTED_PARAMETERS[parameter]
     variant = Variant(cap or b)
     # the one-vertex tree has no Prüfer code, and its slither code is empty
@@ -205,7 +206,7 @@ def exact_rooted_distribution(n: int, parameter: str = "independence",
 
 def exact_dice_distribution(n: int) -> DistributionTable:
     """Exact dice-game stop distribution: coupon read over all n^(n-1) throws."""
-    _check_budget(n)
+    n = _check_budget(n)
     counts = Counter(games.coupon_read(digits, n) for digits in all_codes(n))
     return DistributionTable(family="dice", parameter="alpha", n=n,
                              counts=counts, total=n ** (n - 1))

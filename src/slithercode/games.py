@@ -153,7 +153,7 @@ def coupon_read(sequence, n: int) -> int:
 
 def dice_deal(n: int, rng: np.random.Generator) -> np.ndarray:
     """n-1 throws of an n-sided die; as a code they are a uniform rooted tree."""
-    _check_positive(n, "n")
+    n = _check_positive(n, "n")
     return rng.integers(1, n + 1, size=n - 1)
 
 
@@ -175,10 +175,9 @@ class Deck:
     multiplicities: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "n", _strict_int(self.n, "n"))
+        object.__setattr__(self, "n", _check_positive(self.n, "n"))
         mult = tuple(_strict_int(m, "multiplicity") for m in self.multiplicities)
         object.__setattr__(self, "multiplicities", mult)
-        _check_positive(self.n, "n")
         if len(mult) != self.n:
             raise ValueError(f"need one multiplicity per card 1..{self.n}, got {len(mult)}")
         if any(m < 0 for m in mult):
@@ -200,7 +199,7 @@ class Deck:
     @classmethod
     def full_binary(cls, m: int) -> "Deck":
         """Two cards of each of 1..m, none of m+1..2m+1; n = 2m+1."""
-        _check_positive(m, "m")
+        m = _check_positive(m, "m")
         return cls(n=2 * m + 1, multiplicities=(2,) * m + (0,) * (m + 1))
 
 
@@ -210,6 +209,7 @@ def card_trial(deck: Deck, rng: np.random.Generator) -> int:
 
 def full_binary_m(n: int) -> int:
     """Internal-vertex count m of the full binary trees on n = 2m+1 vertices."""
+    n = _strict_int(n, "n")
     if n < 3 or n % 2 == 0:
         raise ValueError(f"full-binary needs odd n = 2m+1 >= 3, got {n}")
     return (n - 1) // 2
@@ -217,7 +217,7 @@ def full_binary_m(n: int) -> int:
 
 def full_binary_deal(m: int, rng: np.random.Generator) -> np.ndarray:
     """Shuffled deck of two cards of each of 1..m: the cards of Deck.full_binary(m)."""
-    _check_positive(m, "m")
+    m = _check_positive(m, "m")
     return rng.permutation(np.repeat(np.arange(1, m + 1), 2))
 
 
@@ -231,7 +231,7 @@ def binary_lr_deal(n: int, rng: np.random.Generator) -> np.ndarray:
     Models uniform binary trees with distinguished left/right children; the
     n+1 undealt cards are the free attachment slots.
     """
-    _check_positive(n, "n")
+    n = _check_positive(n, "n")
     return rng.permutation(2 * n)[: n - 1] // 2 + 1
 
 
@@ -250,7 +250,7 @@ def plane_deal(n: int, rng: np.random.Generator) -> np.ndarray:
     its children ordered, so the coupon rule on (b_1, ..., b_{n-1}) samples
     the independence number of a uniform plane tree on n vertices.
     """
-    _check_positive(n, "n")
+    n = _check_positive(n, "n")
     perm = rng.permutation(2 * n - 2)
     is_black = perm >= n - 1
     blacks_before = np.cumsum(is_black) - is_black
@@ -290,7 +290,7 @@ def sample_uniform_rooted_tree(n: int, variant: Variant = NORMAL,
 
 def sample_uniform_labelled_tree(n: int, rng: np.random.Generator | None = None):
     """Uniform unrooted labelled tree as a sorted edge list, via Prufer; rng as above."""
-    _check_positive(n, "n")
+    n = _check_positive(n, "n")
     if rng is None:
         rng = np.random.default_rng()
     if n == 1:
@@ -355,14 +355,13 @@ class TrialHistogram:
             raise ValueError(f"counts must be an object, got {_echo(raw)}")
         if not isinstance(d["parameter"], str):
             raise ValueError(f"parameter must be a string, got {_echo(d['parameter'])}")
-        hist = cls(parameter=d["parameter"], n=_strict_int(d["n"], "n"),
-                   trials=_strict_int(d["trials"], "trials"), seed=RandomSource(d["seed"]).seed,
+        hist = cls(parameter=d["parameter"], n=_check_positive(d["n"], "n"),
+                   trials=_check_positive(d["trials"], "trials"),
+                   seed=RandomSource(d["seed"]).seed,
                    counts={_strict_int(v, "count key"): _strict_int(c, "count")
                            for v, c in raw.items()})
         if len(hist.counts) != len(raw):
             raise ValueError(f"two count keys spell the same value in {_echo([*raw])}")
-        _check_positive(hist.n, "n")
-        _check_positive(hist.trials, "trials")
         for v, c in hist.counts.items():
             if c < 0:
                 raise ValueError(f"counts must be >= 0, got {c} for value {v}")
@@ -381,7 +380,7 @@ def run_trials(trial, trials: int, seed: int, *, n: int, parameter: str,
     """
     if threads not in (None, 1):
         raise ValueError(f"threads must be 1, trials run on one thread; got {threads}")
-    _check_positive(trials, "trials")
+    trials = _check_positive(trials, "trials")
     source = RandomSource(seed)
     counts = Counter(trial(source.trial_rng(i)) for i in range(trials))
     return TrialHistogram(parameter=parameter, n=n, trials=trials, seed=source.seed,

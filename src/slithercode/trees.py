@@ -50,15 +50,38 @@ def _echo(value) -> str:
         return f"<{type(value).__name__} nested too deeply to show>"
 
 
-def _check_positive(value: int, what: str) -> None:
-    """Raise ValueError unless value >= 1, as every size argument requires."""
-    if value < 1:
-        raise ValueError(f"{what} must be >= 1, got {value}")
-
-
 # An integer in text: an optional sign, then ASCII digits.  int() also takes
 # digit-group underscores, surrounding spaces and non-ASCII digits.
 _INT_TEXT = re.compile(r"[+-]?[0-9]+")
+
+
+def _strict_int(value, what: str = "value") -> int:
+    """int(value) for ints, numpy integers and strings matching _INT_TEXT only.
+
+    Outside input goes through here instead of int(), which truncates 1.9
+    to 1, reads True as 1 and " 1_0" as 10.  Raises ValueError for anything
+    else.
+    """
+    # exact int first: this runs once per label or symbol
+    if type(value) is int:
+        return value
+    if isinstance(value, str):
+        if _INT_TEXT.fullmatch(value):
+            return int(value)
+    elif isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    raise ValueError(f"{what} must be an integer, got {_echo(value)}")
+
+
+def _check_positive(value, what: str, error: type[ValueError] = ValueError) -> int:
+    """value as _strict_int reads it, the one rule for every size; raise error unless it is >= 1."""
+    try:
+        value = _strict_int(value, what)
+    except ValueError as exc:
+        raise error(str(exc)) from None
+    if value < 1:
+        raise error(f"{what} must be >= 1, got {value}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -68,8 +91,7 @@ class Variant:
     b: int
 
     def __post_init__(self):
-        if not isinstance(self.b, int) or isinstance(self.b, bool) or self.b < 1:
-            raise ValueError(f"capacity must be a positive integer, got {_echo(self.b)}")
+        object.__setattr__(self, "b", _check_positive(self.b, "capacity"))
 
     @property
     def name(self) -> str:
@@ -135,24 +157,6 @@ class RootedTree:
     def key(self):
         # hashable identity, handy for set-based sweeps
         return (self.n, self.root, tuple(sorted(self.parent.items())))
-
-
-def _strict_int(value, what: str = "value") -> int:
-    """int(value) for ints, numpy integers and strings matching _INT_TEXT only.
-
-    Outside input goes through here instead of int(), which truncates 1.9
-    to 1, reads True as 1 and " 1_0" as 10.  Raises ValueError for anything
-    else.
-    """
-    # exact int first: this runs once per label or symbol
-    if type(value) is int:
-        return value
-    if isinstance(value, str):
-        if _INT_TEXT.fullmatch(value):
-            return int(value)
-    elif isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        return int(value)
-    raise ValueError(f"{what} must be an integer, got {_echo(value)}")
 
 
 def _strict_ints(values, what: str):
@@ -225,8 +229,7 @@ def validate_tree(data) -> RootedTree:
         n = _strict_int(data["n"])
     except (KeyError, ValueError):
         raise TreeError("missing or non-integer vertex count n") from None
-    if n < 1:
-        raise TreeError(f"n must be >= 1, got {n}")
+    n = _check_positive(n, "n", TreeError)
 
     raw = data.get("parent", {})
     if isinstance(raw, dict):
@@ -563,7 +566,7 @@ def bf_max_capacity_edges(tree: RootedTree, b: int) -> int:
     n = tree.n
     if n > _BF_EDGES_LIMIT:
         raise ValueError(f"brute force capped at n <= {_BF_EDGES_LIMIT}, got {n}")
-    _check_positive(b, "capacity")
+    b = _check_positive(b, "capacity")
     incident = [0] * (n + 1)  # bit i set when edge i meets the vertex
     for i, (c, p) in enumerate(tree.parent.items()):
         incident[c] |= 1 << i

@@ -616,6 +616,23 @@ def test_argparse_errors_about_short_values_stay_whole(capsys, argv, message):
     assert code == 2 and err.endswith(f"\n{message}\n")
 
 
+@pytest.mark.parametrize(
+    "argv, flag, value",
+    (
+        (("clt", "--n", "1_000", "--trials", "10000", "--seed", "1"), "--n", "1_000"),
+        (("enumerate", "--n", "\u0664"), "--n", "\u0664"),
+        (("enumerate", "--n", " 3"), "--n", " 3"),
+        (("simulate", "--game", "dice", "--n", "5", "--trials", "1_0", "--seed", "1"),
+         "--trials", "1_0"),
+        (("sample", "--family", "uniform", "--n", "4", "--seed", "1_0"), "--seed", "1_0"),
+    ),
+)
+def test_integer_flags_follow_the_input_integer_rule(capsys, argv, flag, value):
+    # argparse's int() took each of these, which input integers refuse
+    code, err = argparse_exit(capsys, *argv)
+    assert code == 2 and err.endswith(f" error: argument {flag}: invalid int value: {value!r}\n")
+
+
 def test_a_key_error_is_an_internal_failure(capsys, monkeypatch):
     # no input reaches a KeyError, so one is a bug, not bad input
     def broken(args):

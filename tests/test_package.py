@@ -5,7 +5,8 @@ export whose definition is gone, or an import that nothing uses any more.
 One more keeps the command line drawing every family through games.DEALS,
 and every game through one coupon_read line; counting keeps no module-level
 list, so no cache, and its closed forms share one integrality check; a tree's
-root count, declared root and cycles are each checked in one place.  The
+root count, declared root and cycles are each checked in one place, and so is
+the size rule, which the command line's integer flags follow too.  The
 strategic set and the path cover both read the one link pass, trees._links,
 and run_trials builds each trial's generator through RandomSource.trial_rng.
 """
@@ -100,6 +101,26 @@ def test_tree_checks_have_one_copy(phrase):
     # the messages of validate_tree's root count, declared-root check and cycle search
     found = lines_with(phrase)
     assert len(found) == 1, f"{phrase!r} should occur once in the package: {found}"
+
+
+@pytest.mark.parametrize("phrase", ("must be >= 1", "must be an integer"))
+def test_the_size_rule_has_one_copy(phrase):
+    # the messages of trees._strict_int and trees._check_positive, which every size goes through
+    found = lines_with(phrase)
+    assert len(found) == 1, f"{phrase!r} should occur once in the package: {found}"
+
+
+def test_no_size_is_called_a_positive_integer():
+    found = lines_with("positive integer")
+    assert not found, f"'positive integer' is a second size message: {found}"
+
+
+def test_cli_reads_no_flag_with_int():
+    # argparse's int() takes 1_0, " 3" and non-ASCII digits, which input integers refuse
+    found = [node.lineno for node in ast.walk(parse(PACKAGE / "cli.py"))
+             if isinstance(node, ast.keyword) and node.arg == "type"
+             and isinstance(node.value, ast.Name) and node.value.id == "int"]
+    assert not found, f"cli.py reads a flag with type=int on lines {found}"
 
 
 @pytest.mark.parametrize("name", ("strategic_set", "path_cover_decomposition"))

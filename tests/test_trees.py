@@ -329,7 +329,7 @@ def test_variant_parse_rejects(text):
 
 
 def test_variant_rejects_bool():
-    with pytest.raises(ValueError, match="positive integer"):
+    with pytest.raises(ValueError, match="^capacity must be an integer, got True$"):
         Variant(True)
 
 
