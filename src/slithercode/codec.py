@@ -44,8 +44,10 @@ class SlitherCode:
 
     def __post_init__(self):
         object.__setattr__(self, "n", _check_positive(self.n, "n", CodeError))
+        if not isinstance(self.variant, Variant):
+            raise CodeError(f"variant must be a Variant, got {_echo(self.variant)}")
         try:
-            sym = tuple(_strict_ints(tuple(self.symbols), "symbol"))
+            sym = tuple(_strict_ints(_symbols(self.symbols), "symbol"))
         except ValueError as exc:
             raise CodeError(str(exc)) from None
         object.__setattr__(self, "symbols", sym)
@@ -54,6 +56,14 @@ class SlitherCode:
         if sym and (min(sym) < 1 or max(sym) > self.n):
             s = next(s for s in sym if not 1 <= s <= self.n)
             raise CodeError(f"symbol {s} out of range 1..{self.n}")
+
+
+def _symbols(values) -> tuple:
+    """tuple(values); CodeError, naming them, when they are not a sequence."""
+    try:
+        return tuple(values)
+    except TypeError:
+        raise CodeError(f"symbols must be a sequence, got {_echo(values)}") from None
 
 
 def slither_encode(tree: RootedTree, variant: Variant = NORMAL):
@@ -118,7 +128,7 @@ def slither_decode(code: SlitherCode) -> RootedTree:
 
 def decode_sequence(symbols, n: int | None = None, variant: Variant = NORMAL) -> RootedTree:
     """Decode a bare symbol sequence; n defaults to len(symbols) + 1."""
-    sym = tuple(symbols)
+    sym = _symbols(symbols)
     if n is None:
         n = len(sym) + 1
     return slither_decode(SlitherCode(n=n, variant=variant, symbols=sym))
@@ -302,7 +312,7 @@ def prufer_decode(symbols) -> list[tuple[int, int]]:
 
     Returns the edge list sorted with each edge as (min, max).
     """
-    sym = tuple(symbols)
+    sym = _symbols(symbols)
     n = len(sym) + 2
     tree = slither_decode(SlitherCode(n=n, variant=Variant(n), symbols=sym + (n,)))
     return sorted((min(c, p), max(c, p)) for c, p in tree.parent.items())

@@ -176,7 +176,11 @@ class Deck:
 
     def __post_init__(self):
         object.__setattr__(self, "n", _check_positive(self.n, "n"))
-        mult = tuple(_strict_int(m, "multiplicity") for m in self.multiplicities)
+        try:
+            mult = tuple(_strict_int(m, "multiplicity") for m in self.multiplicities)
+        except TypeError:
+            raise ValueError("multiplicities must be a sequence, "
+                             f"got {_echo(self.multiplicities)}") from None
         object.__setattr__(self, "multiplicities", mult)
         if len(mult) != self.n:
             raise ValueError(f"need one multiplicity per card 1..{self.n}, got {len(mult)}")

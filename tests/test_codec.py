@@ -92,11 +92,26 @@ def test_code_normalizes_symbols():
         (5, [1, 2, 1.5, 3], r"^non-integer symbol 1\.5 at index 2$"),
         # a one-shot iterator is read once, so its bad symbol is still named
         (2, iter(["x"]), r"^non-integer symbol 'x' at index 0$"),
+        (3, 5, r"^symbols must be a sequence, got 5$"),
     ),
 )
 def test_code_rejects(n, symbols, fragment):
     with pytest.raises(CodeError, match=fragment):
         SlitherCode(n=n, variant=NORMAL, symbols=symbols)
+
+
+@pytest.mark.parametrize("variant", (2, "normal", None))
+def test_code_rejects_a_variant_that_is_not_one(variant):
+    # slither_decode read variant.b and failed with an AttributeError
+    shown = re.escape(repr(variant))
+    with pytest.raises(CodeError, match=f"^variant must be a Variant, got {shown}$"):
+        SlitherCode(n=3, variant=variant, symbols=(1, 2))
+
+
+@pytest.mark.parametrize("decode", (decode_sequence, prufer_decode))
+def test_decoding_a_non_sequence_names_it(decode):
+    with pytest.raises(CodeError, match="^symbols must be a sequence, got 5$"):
+        decode(5)
 
 
 @pytest.mark.parametrize("n, shown", ((True, "True"), (3.0, "3.0"), (None, "None"), ("x", "'x'")))

@@ -231,6 +231,7 @@ def test_deck_for_tree_matches_out_degrees(fig1):
         (4, (-1, 2, 1, 1), "negative multiplicity"),
         (3, (1.9, 1.2, 0), "multiplicity must be an integer"),
         (3, (True, 1, 0), "multiplicity must be an integer"),
+        (2, 5, "^multiplicities must be a sequence, got 5$"),
     ),
 )
 def test_deck_rejects(n, mult, fragment):
