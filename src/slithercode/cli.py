@@ -100,7 +100,9 @@ def parse_code(text: str, variant: Variant, n_flag: int | None) -> SlitherCode:
         if not isinstance(symbols, list):
             raise CodeError(f"symbols must be a JSON list, got {_echo(symbols)}")
         if "variant" in d:
-            header_variant = Variant.parse(str(d["variant"]))
+            if not isinstance(d["variant"], str):
+                raise CodeError(f"variant must be a string, got {_echo(d['variant'])}")
+            header_variant = Variant.parse(d["variant"])
         if "n" in d:
             header_n = _strict_int(d["n"], "n")
     else:

@@ -457,6 +457,15 @@ def test_non_integral_json_exits_2(capsys, argv, fragment):
     assert rc == 2 and out == "" and fragment in err
 
 
+@pytest.mark.parametrize("variant, shown",
+                         (("null", "None"), ("1", "1"), ('["normal"]', "['normal']")))
+def test_a_json_code_variant_must_be_a_string(capsys, variant, shown):
+    # str() read null as "None", so the error named a variant the input does not hold
+    code = f'{{"variant": {variant}, "symbols": [1, 1]}}'
+    rc, out, err = run_cli(capsys, "decode", "--variant", "normal", code)
+    assert (rc, out, err) == (2, "", f"error: variant must be a string, got {shown}\n")
+
+
 @pytest.mark.parametrize(
     "tree, fragment",
     (
