@@ -312,6 +312,14 @@ class TrialHistogram:
     seed: int
     counts: dict[int, int]
 
+    def __post_init__(self):
+        for v, c in self.counts.items():
+            if c < 0:
+                raise ValueError(f"counts must be >= 0, got {c} for value {v}")
+        if sum(self.counts.values()) != self.trials:
+            raise ValueError(f"counts sum to {sum(self.counts.values())}, "
+                             f"not to trials = {self.trials}")
+
     def probabilities(self) -> dict[int, float]:
         return {v: c / self.trials for v, c in sorted(self.counts.items())}
 
@@ -359,20 +367,12 @@ class TrialHistogram:
             raise ValueError(f"counts must be an object, got {_echo(raw)}")
         if not isinstance(d["parameter"], str):
             raise ValueError(f"parameter must be a string, got {_echo(d['parameter'])}")
-        hist = cls(parameter=d["parameter"], n=_check_positive(d["n"], "n"),
-                   trials=_check_positive(d["trials"], "trials"),
-                   seed=RandomSource(d["seed"]).seed,
-                   counts={_strict_int(v, "count key"): _strict_int(c, "count")
-                           for v, c in raw.items()})
-        if len(hist.counts) != len(raw):
+        n, trials = _check_positive(d["n"], "n"), _check_positive(d["trials"], "trials")
+        seed = RandomSource(d["seed"]).seed
+        counts = {_strict_int(v, "count key"): _strict_int(c, "count") for v, c in raw.items()}
+        if len(counts) != len(raw):
             raise ValueError(f"two count keys spell the same value in {_echo([*raw])}")
-        for v, c in hist.counts.items():
-            if c < 0:
-                raise ValueError(f"counts must be >= 0, got {c} for value {v}")
-        if sum(hist.counts.values()) != hist.trials:
-            raise ValueError(f"counts sum to {sum(hist.counts.values())}, "
-                             f"not to trials = {hist.trials}")
-        return hist
+        return cls(parameter=d["parameter"], n=n, trials=trials, seed=seed, counts=counts)
 
 
 def run_trials(trial, trials: int, seed: int, *, n: int, parameter: str,

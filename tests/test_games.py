@@ -489,6 +489,16 @@ def test_histogram_from_json_checks_its_invariants(field, bad, message):
         TrialHistogram.from_json_dict({**good, field: bad})
 
 
+@pytest.mark.parametrize("counts, message", (
+    ({3: 4}, "counts sum to 4, not to trials = 10"),
+    ({3: 14, 4: -4}, "counts must be >= 0, got -4 for value 4"),
+))
+def test_histogram_checks_its_counts_where_it_is_built(counts, message):
+    # only from_json_dict checked them, so mean() of counts={3: 4} over 10 trials read 1.2
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        TrialHistogram(parameter="alpha", n=5, trials=10, seed=1, counts=counts)
+
+
 @pytest.mark.parametrize("d", (5, None, [["n", 5]], "alpha"))
 def test_histogram_from_json_refuses_a_non_object(d):
     with pytest.raises(ValueError, match=f"^a histogram must be an object, got {re.escape(repr(d))}$"):
