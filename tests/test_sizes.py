@@ -2,8 +2,8 @@
 
 A size is an int, a numpy integer or a string of an optional sign and ASCII
 digits, and it is >= 1.  True, 3.0 and "x" are refused with the entry point's
-own error class, naming the value, where they were once read as 1, truncated,
-or failed deep inside with a TypeError.
+own error class, naming the value, not read as 1, truncated, or left to fail
+deep inside with a TypeError.
 """
 
 import re
