@@ -7,18 +7,18 @@ P-set straight off the sequence without decoding at all.
 
 from slithercode import (
     NORMAL,
-    RootedTree,
     SlitherCode,
     classify,
     read_alpha,
     read_root_and_pset,
     slither_decode,
     slither_encode,
+    validate_tree,
 )
 
-tree = RootedTree(
-    n=10, root=9,
-    parent={1: 2, 2: 5, 3: 5, 4: 6, 5: 9, 6: 1, 7: 3, 8: 1, 10: 4})
+tree = validate_tree({
+    "n": 10, "root": 9,
+    "parent": {1: 2, 2: 5, 3: 5, 4: 6, 5: 9, 6: 1, 7: 3, 8: 1, 10: 4}})
 
 print("tree: root", tree.root)
 kids = tree.children_lists()

@@ -37,13 +37,13 @@ def tree_to_text(tree: trees.RootedTree) -> str:
     parent, root = tree.parent, tree.root
     kids = [*range(1, root), *range(root + 1, tree.n + 1)]
     rows = [0] * (2 * len(kids))
-    rows[::2], rows[1::2] = kids, map(parent.__getitem__, kids)
+    rows[::2], rows[1::2] = kids, parent[1:root] + parent[root + 1:]
     return f"{tree.n} {root}\n" + ("%d %d\n" * len(kids)) % tuple(rows)
 
 
 def tree_to_json_dict(tree: trees.RootedTree) -> dict:
     return {"n": tree.n, "root": tree.root,
-            "parent": {str(c): p for c, p in sorted(tree.parent.items())}}
+            "parent": {str(c): p for c, p in tree.edges()}}
 
 
 def _rows(text: str) -> list[str]:

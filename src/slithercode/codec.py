@@ -12,8 +12,10 @@ for every variant: uniform random sequences are uniform random trees.
 
 Encode and decode are the pruning scan trees._prune, which classify shares:
 a vertex's class is known once its whole subtree is deleted (or restored),
-which happens before its own parent is recorded (or read).  Decoding never
-looks at the variant's name, only its capacity b.
+which happens before its own parent is recorded (or read).  Encoding reads
+the tree's label-indexed parent tuple, and decoding writes one, parent by
+parent, with the root the one label left at 0.  Decoding never looks at
+the variant's name, only its capacity b.
 
 The reading rules extract tree parameters from a code without decoding:
 independence and matching numbers, the root and full P-set, and the
@@ -89,7 +91,7 @@ def slither_encode(tree: RootedTree, variant: Variant = NORMAL):
             right -= 1
         return p
 
-    _prune(n, parent.values(), variant.b, place)
+    _prune(n, parent, variant.b, place)
     if left != right + 1:
         raise AssertionError("slot pointers did not meet")
     return SlitherCode(n=n, variant=variant, symbols=tuple(code)), tuple(aux)
@@ -105,7 +107,7 @@ def slither_decode(code: SlitherCode) -> RootedTree:
     subtree's classification.
     """
     n, sym = code.n, code.symbols
-    parent: dict[int, int] = {}
+    parent = [0] * (n + 1)
     left, right = 0, n - 2
 
     def place(v, is_p):
@@ -120,10 +122,10 @@ def slither_decode(code: SlitherCode) -> RootedTree:
         return p
 
     _prune(n, sym, code.variant.b, place)
-    if len(parent) != n - 1:
-        raise AssertionError("decode left more than one parentless vertex")
-    # the scan deletes n - 1 distinct labels, so the root is the one left over
-    return RootedTree(n=n, root=n * (n + 1) // 2 - sum(parent), parent=parent)
+    if left != right + 1:
+        raise AssertionError("slot pointers did not meet")
+    # the scan deletes n - 1 distinct labels, so the root is the one left at 0
+    return RootedTree(n=n, root=parent.index(0, 1), parent=tuple(parent))
 
 
 def decode_sequence(symbols, n: int | None = None, variant: Variant = NORMAL) -> RootedTree:
@@ -295,16 +297,17 @@ def prufer_encode(n: int, edges) -> tuple[int, ...]:
         count += 1
     if count != n - 1:
         raise CodeError(f"expected {n - 1} edges, got {count}")
-    parent, stack = {}, [n]
+    parent, stack = [0] * (n + 1), [n]
     while stack:
         u = stack.pop()
         for w in adj[u]:
-            if w != n and w not in parent:
+            if w != n and not parent[w]:
                 parent[w] = u
                 stack.append(w)
-    if len(parent) != n - 1:
+    if 0 in parent[1:n]:
         raise CodeError(f"the {n - 1} edges do not connect all {n} vertices")
-    return slither_encode(RootedTree(n=n, root=n, parent=parent), Variant(n))[0].symbols[:-1]
+    tree = RootedTree(n=n, root=n, parent=tuple(parent))
+    return slither_encode(tree, Variant(n))[0].symbols[:-1]
 
 
 def prufer_decode(symbols) -> list[tuple[int, int]]:
@@ -315,4 +318,4 @@ def prufer_decode(symbols) -> list[tuple[int, int]]:
     sym = _symbols(symbols)
     n = len(sym) + 2
     tree = slither_decode(SlitherCode(n=n, variant=Variant(n), symbols=sym + (n,)))
-    return sorted((min(c, p), max(c, p)) for c, p in tree.parent.items())
+    return sorted((min(c, p), max(c, p)) for c, p in tree.edges())

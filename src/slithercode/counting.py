@@ -28,7 +28,7 @@ from itertools import islice, product
 
 from . import games
 from .codec import SlitherCode, slither_decode
-from .trees import Variant, _check_positive, classify
+from .trees import Variant, _check_positive, _strict_int, classify
 
 _ENUM_BUDGET = 7  # n^(n-2) tree and n^(n-1) throw sweeps stay interactive up to here
 
@@ -74,7 +74,8 @@ def _stirling_triangle():
 
 
 def stirling2(m: int, k: int) -> int:
-    """Stirling partition number S(m, k), read off row m of the triangle."""
+    """Stirling partition number S(m, k), read off row m of the triangle; 0 off it."""
+    m, k = _strict_int(m, "m"), _strict_int(k, "k")
     if m < 0 or k < 0 or k > m:
         return 0
     return next(islice(_stirling_triangle(), m, None))[k]
@@ -107,7 +108,7 @@ def _independence_counts(n: int):
 
 def count_independence(n: int, alpha: int) -> int:
     """Labelled unrooted trees on n vertices with independence number alpha."""
-    n = _check_positive(n, "n")
+    n, alpha = _check_positive(n, "n"), _strict_int(alpha, "alpha")
     return next(c for a, c in _independence_counts(n) if a == alpha) if 1 <= alpha <= n else 0
 
 
@@ -132,7 +133,7 @@ def count_full_binary(m: int, alpha: int) -> int:
     whose coupon read stops at alpha.  Two factorial products; reciprocal
     factorials kill the terms outside the support.
     """
-    m = _check_positive(m, "m")
+    m, alpha = _check_positive(m, "m"), _strict_int(alpha, "alpha")
     if not (1 <= alpha <= 2 * m):
         return 0
     fm = Fraction(math.factorial(m))
@@ -156,6 +157,7 @@ def full_binary_table(m: int) -> DistributionTable:
 
 def all_codes(n: int):
     """Every sequence in [n]^(n-1), lazily and in lexicographic order."""
+    n = _check_positive(n, "n")
     return product(range(1, n + 1), repeat=n - 1)
 
 

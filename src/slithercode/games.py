@@ -146,9 +146,10 @@ def coupon_read(sequence, n: int) -> int:
 
     Same rule, same implementation as the read_alpha codec operation; the
     equality of game value and independence read is the point, not an
-    accident.
+    accident.  n is read by _strict_int, so a trial hands on its caller's n
+    as it came.
     """
-    return prefix_alpha(sequence, n)
+    return prefix_alpha(sequence, _strict_int(n, "n"))
 
 
 def dice_deal(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -195,10 +196,9 @@ class Deck:
 
     @classmethod
     def for_tree(cls, tree: RootedTree) -> "Deck":
-        mult = [0] * tree.n
-        for p in tree.parent.values():
-            mult[p - 1] += 1
-        return cls(n=tree.n, multiplicities=tuple(mult))
+        """The deck of the tree's out-degrees; bin 0 takes the parent tuple's two 0s."""
+        mult = np.bincount(tree.parent, minlength=tree.n + 1)[1:]
+        return cls(n=tree.n, multiplicities=mult.tolist())
 
     @classmethod
     def full_binary(cls, m: int) -> "Deck":
@@ -226,6 +226,7 @@ def full_binary_deal(m: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def full_binary_trial(m: int, rng: np.random.Generator) -> int:
+    m = _check_positive(m, "m")
     return coupon_read(full_binary_deal(m, rng), 2 * m + 1)
 
 

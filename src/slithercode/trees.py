@@ -1,6 +1,9 @@
 """Rooted labelled trees and the slither-game position classification.
 
-Trees live on vertex labels 1..n with a designated root.  The slither game
+Trees live on vertex labels 1..n with a designated root, held as one
+label-indexed tuple: parent[v] is v's parent, and entries 0 and root are 0.
+The pruning scan, the links and the codes all index that tuple, and
+validate_tree is the one way in from a child -> parent map.  The slither game
 moves a token from the root toward the leaves, one edge per move, and the
 player who cannot move loses; in the capacity-b variant each vertex may be
 entered up to b times before it is used up.  All variants collapse to one
@@ -133,30 +136,36 @@ def capacity(b: int) -> Variant:
 
 @dataclass(frozen=True)
 class RootedTree:
-    """Rooted tree on labels 1..n given by a child -> parent map.
+    """Rooted tree on labels 1..n given by its label-indexed parent tuple.
 
-    The parent map has exactly one entry per non-root vertex.  Instances are
-    assumed valid; use validate_tree to build one from untrusted input.
+    parent has n + 1 entries: parent[v] is v's parent, and parent[0] and
+    parent[root] are 0.  A tree is hashable, so it serves as its own key.
+    Only that shape is checked here; use validate_tree to build a tree from
+    a child -> parent map or other untrusted input.
     """
 
     n: int
     root: int
-    parent: dict[int, int]
+    parent: tuple[int, ...]
+
+    def __post_init__(self):
+        p = self.parent
+        if not (type(p) is tuple and len(p) == self.n + 1 and 1 <= self.root <= self.n
+                and p[0] == p[self.root] == 0):
+            raise TreeError(f"parent must be a tuple of n + 1 = {self.n + 1} labels, 0 at "
+                            f"entries 0 and root {self.root}, got {_echo(p)}; "
+                            "build a tree from a child -> parent map with validate_tree")
 
     def children_lists(self) -> list[list[int]]:
-        """Adjacency indexed by label; entry 0 is unused padding."""
+        """Adjacency indexed by label, each list ascending; entry 0 is unused padding."""
         ch: list[list[int]] = [[] for _ in range(self.n + 1)]
-        for c, p in self.parent.items():
+        for c, p in self.edges():
             ch[p].append(c)
         return ch
 
     def edges(self) -> list[tuple[int, int]]:
         """Edges as (child, parent) pairs, sorted by child."""
-        return sorted(self.parent.items())
-
-    def key(self):
-        # hashable identity, handy for set-based sweeps
-        return (self.n, self.root, tuple(sorted(self.parent.items())))
+        return [(c, p) for c, p in enumerate(self.parent) if p]
 
 
 def _strict_ints(values, what: str):
@@ -279,12 +288,13 @@ def _tree(n: int, kids, pars, declared) -> RootedTree:
         if declared != root:
             raise TreeError(f"declared root {declared} but vertex {root} has no parent")
 
+    up = np.zeros(n + 1, dtype=np.int64)
+    up[c] = p
+    parent = tuple(up.tolist())
     # pointer doubling: after k rounds up[v] is v's ancestor 2^k steps up,
     # or the root, so every vertex reaches the root within n.bit_length()
     # rounds unless a cycle holds it
-    parent = dict(zip(c.tolist(), p.tolist()))
-    up = np.zeros(n + 1, dtype=np.int64)
-    up[root], up[c] = root, p
+    up[root] = root
     for _ in range(n.bit_length()):
         up = up[up]
     stuck = np.flatnonzero(up[1:] != root)
@@ -324,7 +334,7 @@ def _entries(n: int, kids, pars):
 
 def _entry_by_entry(n: int, kids, pars) -> tuple[list[int], list[int]]:
     """The entries as ints, walked in order; raise TreeError naming the first bad one."""
-    parent: dict[int, int] = {}
+    checked: dict[int, int] = {}
     for c, p in zip(kids, pars):
         try:
             c, p = _strict_int(c), _strict_int(p)
@@ -333,12 +343,12 @@ def _entry_by_entry(n: int, kids, pars) -> tuple[list[int], list[int]]:
                             f"({_echo(c)}, {_echo(p)})") from None
         if not (1 <= c <= n) or not (1 <= p <= n):
             raise TreeError(f"label out of range 1..{n} in parent entry ({c}, {p})")
-        if c in parent:
+        if c in checked:
             raise TreeError(f"duplicate parent entry for vertex {c}")
         if c == p:
             raise TreeError(f"vertex {c} listed as its own parent")
-        parent[c] = p
-    return list(parent), list(parent.values())
+        checked[c] = p
+    return list(checked), list(checked.values())
 
 
 @dataclass(frozen=True)
@@ -384,7 +394,7 @@ class PositionMap:
         return list(map(names.__getitem__, islice(self.p_child_count, 1, None)))
 
     def labels(self) -> dict[int, str]:
-        return dict(zip(range(1, self.n + 1), self.label_list()))
+        return dict(enumerate(self.label_list(), start=1))
 
     def capacity_edges(self) -> int:
         """Largest edge set in which every vertex has degree <= b.
@@ -401,18 +411,21 @@ class PositionMap:
 def _prune(n: int, parents, b: int, place) -> list[int]:
     """Delete n-1 vertices, smallest ready first; return P-child counts by label.
 
-    `parents` lists every non-root vertex's parent, in any order; a vertex
-    is ready once all its children are deleted, so its P-child count is
-    final and it is P iff the count is below b.  place(v, is_p) records the
-    deletion and returns v's parent.  Only that parent can become ready, and
-    if it lies below the scan pointer it is the smallest ready vertex, so a
-    forward pointer plus that one candidate replaces a heap.  A parent map
-    with a cycle raises TreeError.
+    `parents` holds every non-root vertex's parent, in any order, plus any
+    number of 0s, which count toward the unused entry 0 only: a code's
+    symbols or a tree's parent tuple.  A vertex is ready once all its
+    children are deleted, so its P-child count is final and it is P iff the
+    count is below b.  place(v, is_p) records the deletion and returns v's
+    parent.  Only that parent can become ready, and if it lies below the
+    scan pointer it is the smallest ready vertex, so a forward pointer plus
+    that one candidate replaces a heap.  Parents with a cycle or a second
+    root raise TreeError.
     """
     pending, pcount = [0] * (n + 1), [0] * (n + 1)
     try:
         for p in parents:
             pending[p] += 1
+        zeros = pending[0]
         ptr = v = pending.index(0, 1)
         for _ in range(n - 1):
             is_p = pcount[v] < b
@@ -427,15 +440,17 @@ def _prune(n: int, parents, b: int, place) -> list[int]:
                 while pending[ptr]:
                     ptr += 1
                 v = ptr
-    except (LookupError, ValueError):  # the scan deleted the root, overran or never began
+    except (LookupError, ValueError):  # the scan overran or never began
         raise TreeError("pruning did not reach every vertex") from None
+    if pending[0] != zeros:  # each deleted vertex with parent 0 took one off pending[0]
+        raise TreeError("pruning deleted a vertex with no parent: a second root")
     return pcount
 
 
 def classify(tree: RootedTree, variant: Variant = NORMAL) -> PositionMap:
     """Classify all vertices bottom-up by the codes' pruning scan, keeping its count list."""
     parent = tree.parent
-    pcount = _prune(tree.n, parent.values(), variant.b, lambda v, is_p: parent[v])
+    pcount = _prune(tree.n, parent, variant.b, lambda v, is_p: parent[v])
     return PositionMap(variant=variant, n=tree.n, p_child_count=pcount)
 
 
@@ -470,15 +485,12 @@ def _links(tree: RootedTree, b: int) -> list[int]:
     that c links up to, and 0 means no link.  A P-vertex has fewer than b
     P-children, so it links to all of them.
     """
-    n, root, parent = tree.n, tree.root, tree.parent
     pcount = classify(tree, Variant(b)).p_child_count
-    taken, up = [0] * (n + 1), [0] * (n + 1)
-    for c in range(1, n + 1):  # ascending, so each vertex takes its smallest first
-        if pcount[c] < b and c != root:
-            v = parent[c]
-            if taken[v] < b:
-                taken[v] += 1
-                up[c] = v
+    taken, up = [0] * (tree.n + 1), [0] * (tree.n + 1)
+    for c, v in enumerate(tree.parent):  # ascending, so each vertex takes its smallest first
+        if v and pcount[c] < b and taken[v] < b:
+            taken[v] += 1
+            up[c] = v
     return up
 
 
@@ -555,7 +567,7 @@ def bf_max_independent(tree: RootedTree) -> int:
         raise ValueError(f"brute force capped at n <= {_BF_INDEP_LIMIT}, got {n}")
     subsets = np.arange(1 << n)
     ok = np.ones(1 << n, dtype=bool)
-    for c, p in tree.parent.items():
+    for c, p in tree.edges():
         pair = (1 << (c - 1)) | (1 << (p - 1))
         ok &= (subsets & pair) != pair
     return int(_popcounts(n)[ok].max())
@@ -568,7 +580,7 @@ def bf_max_capacity_edges(tree: RootedTree, b: int) -> int:
         raise ValueError(f"brute force capped at n <= {_BF_EDGES_LIMIT}, got {n}")
     b = _check_positive(b, "capacity")
     incident = [0] * (n + 1)  # bit i set when edge i meets the vertex
-    for i, (c, p) in enumerate(tree.parent.items()):
+    for i, (c, p) in enumerate(tree.edges()):
         incident[c] |= 1 << i
         incident[p] |= 1 << i
     m = n - 1

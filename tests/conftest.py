@@ -7,7 +7,7 @@ from math import comb, factorial
 import numpy as np
 import pytest
 
-from slithercode import RootedTree, sample_uniform_rooted_tree
+from slithercode import sample_uniform_rooted_tree, validate_tree
 
 # the 10-vertex worked example, used as a cross-module anchor
 FIG1_CODE = (3, 1, 4, 1, 5, 9, 2, 6, 5)
@@ -19,7 +19,7 @@ FIG1_PSET = frozenset({2, 6, 7, 8, 9, 10})
 
 @pytest.fixture
 def fig1():
-    tree = RootedTree(n=10, root=FIG1_ROOT, parent=dict(FIG1_PARENT))
+    tree = validate_tree({"n": 10, "root": FIG1_ROOT, "parent": FIG1_PARENT})
     return {"code": FIG1_CODE, "aux": FIG1_AUX, "tree": tree, "p_set": FIG1_PSET}
 
 

@@ -85,7 +85,7 @@ def test_criterion_01_bijection_sweep():
             seen = set()
             for sym in all_codes(n):
                 t = slither_decode(SlitherCode(n=n, variant=variant, symbols=sym))
-                seen.add(t.key())
+                seen.add(t)
                 back, _ = slither_encode(t, variant)
                 if back.symbols != sym:
                     problems.append(f"{variant.name} n={n} {sym} re-encoded to {back.symbols}")
@@ -137,8 +137,8 @@ def test_criterion_04_closed_form_counts():
 
 
 def test_criterion_05_worked_example():
-    from slithercode import RootedTree
-    tree = RootedTree(n=10, root=FIG1_ROOT, parent=dict(FIG1_PARENT))
+    from slithercode import validate_tree
+    tree = validate_tree({"n": 10, "root": FIG1_ROOT, "parent": FIG1_PARENT})
     code, aux = slither_encode(tree, NORMAL)
     decoded = slither_decode(SlitherCode(n=10, variant=NORMAL, symbols=FIG1_CODE))
     rr = read_root_and_pset(SlitherCode(n=10, variant=NORMAL, symbols=FIG1_CODE))

@@ -158,7 +158,7 @@ def test_encode_decode_identity(n, seed, variant):
 def definitional_encode(tree, variant):
     """Delete the smallest leaf of the shrinking tree, one at a time: O(n^2)."""
     pm = classify(tree, variant)
-    alive = dict(tree.parent)
+    alive = dict(tree.edges())
     left, right = [], []
     while alive:
         inner = set(alive.values())

@@ -157,7 +157,7 @@ def test_import_loads_no_numpy_random():
 def test_samplers_draw_without_a_generator():
     # with no rng they seed one from system entropy; they need no trial block for one draw
     tree = sample_uniform_rooted_tree(30)
-    assert tree.n == 30 and len(tree.parent) == 29
+    assert tree.n == 30 and len(tree.edges()) == 29
     assert len(sample_uniform_labelled_tree(30)) == 29
 
 
@@ -303,7 +303,7 @@ def test_each_trial_is_the_coupon_read_of_its_deal(deal, trial, size, n):
 def test_deal_decodes_to_one_tree_law_at_every_variant(n, deals):
     # a vertex's symbol count is its out-degree at every variant, and a deal's
     # probability depends only on those counts, so sample may decode at any
-    laws = [Counter(decode_sequence(d, n, variant).key() for d in deals)
+    laws = [Counter(decode_sequence(d, n, variant) for d in deals)
             for variant in (NORMAL, COMPLY, Variant(3))]
     assert laws[0] == laws[1] == laws[2]
 
@@ -396,7 +396,7 @@ def test_uniform_rooted_sampler_decodes_the_dice_deal():
 
 def test_uniform_rooted_sampler_hits_all_nine_trees_uniformly():
     rng = np.random.default_rng(33)
-    tally = Counter(sample_uniform_rooted_tree(3, rng=rng).key() for _ in range(1800))
+    tally = Counter(sample_uniform_rooted_tree(3, rng=rng) for _ in range(1800))
     assert len(tally) == 9
     stat = sum((c - 200) ** 2 / 200 for c in tally.values())
     assert stat < 20.1  # chi-square 0.99 quantile at 8 dof

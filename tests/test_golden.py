@@ -471,8 +471,8 @@ def test_golden_strategic_n2000(b, seed, b1_digest, b3_digest):
 def _shaped_n2000(shape: str, seed: int) -> trees.RootedTree:
     """A path or a star on 1..2000, its labels in a seeded random order from the root."""
     order = (np.random.default_rng(seed).permutation(2000) + 1).tolist()
-    parent = dict(zip(order[1:], order if shape == "path" else [order[0]] * 2000))
-    return trees.RootedTree(n=2000, root=order[0], parent=parent)
+    pairs = list(zip(order[1:], order if shape == "path" else [order[0]] * 2000))
+    return trees.validate_tree({"n": 2000, "root": order[0], "parent": pairs})
 
 
 # The deep and the wide shape: sha256 of the repr of strategic_set(tree, b) at

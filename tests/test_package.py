@@ -9,9 +9,12 @@ root count, declared root and cycles are each checked in one place, and so is
 the size rule, which the command line's integer flags follow too.  The
 strategic set and the path cover both read the one link pass, trees._links,
 and run_trials builds each trial's generator through RandomSource.trial_rng.
+A tree is one label-indexed parent tuple, built in three places, with no
+second form to adapt it back to.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -142,3 +145,24 @@ def test_run_trials_builds_each_generator_through_trial_rng():
     assert "trial_rng" in attrs, f"run_trials reads {sorted(attrs)}"
     built = (attrs | names) & {"Generator", "PCG64", "default_rng", "_block_words", "_seed_words"}
     assert not built, f"run_trials builds generators itself: {sorted(built)}"
+
+
+def test_a_tree_has_no_second_form():
+    # a child -> parent dict read back by items() or values(), a key() beside the
+    # tree, or a dict built from zipped columns
+    second = re.compile(r"parent\.(items|values)\(\)|\.key\(\)|dict\(zip")
+    found = [(path.name, i) for path in MODULES
+             for i, line in enumerate(path.read_text().splitlines(), 1) if second.search(line)]
+    assert not found, f"a second tree form is back: {found}"
+
+
+def test_trees_are_built_in_three_places():
+    # validation, decode and the Prufer encoder's walk each build the parent tuple directly
+    where = set()
+    for path in MODULES:
+        for top in parse(path).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and "RootedTree" in (
+                        getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                    where.add(f"{path.stem}.{getattr(top, 'name', top.lineno)}")
+    assert where == {"trees._tree", "codec.slither_decode", "codec.prufer_encode"}, where

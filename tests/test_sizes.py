@@ -19,20 +19,26 @@ from slithercode import (
     TrialHistogram,
     Variant,
     bf_max_capacity_edges,
+    binary_lr_trial,
     clt_check,
     count_full_binary,
     count_independence,
+    dice_trial,
     exact_dice_distribution,
     exact_rooted_distribution,
     expected_alpha,
     full_binary_table,
+    full_binary_trial,
     independence_table,
+    plane_trial,
     prufer_encode,
     run_trials,
     sample_uniform_labelled_tree,
     sample_uniform_rooted_tree,
+    stirling2,
     validate_tree,
 )
+from slithercode.counting import all_codes
 from slithercode.games import (binary_lr_deal, dice_deal, full_binary_deal, full_binary_m,
                                plane_deal)
 
@@ -56,6 +62,11 @@ ENTRY_POINTS = (
     ("full_binary_deal", "m", lambda s: full_binary_deal(s, RNG), ValueError),
     ("binary_lr_deal", "n", lambda s: binary_lr_deal(s, RNG), ValueError),
     ("plane_deal", "n", lambda s: plane_deal(s, RNG), ValueError),
+    ("dice_trial", "n", lambda s: dice_trial(s, RNG), ValueError),
+    ("full_binary_trial", "m", lambda s: full_binary_trial(s, RNG), ValueError),
+    ("binary_lr_trial", "n", lambda s: binary_lr_trial(s, RNG), ValueError),
+    ("plane_trial", "n", lambda s: plane_trial(s, RNG), ValueError),
+    ("all_codes", "n", all_codes, ValueError),
     ("Deck", "n", lambda s: Deck(n=s, multiplicities=(1, 0)), ValueError),
     ("Deck.full_binary", "m", Deck.full_binary, ValueError),
     ("sample_uniform_rooted_tree", "n", lambda s: sample_uniform_rooted_tree(s, rng=RNG),
@@ -93,3 +104,35 @@ def test_every_size_is_at_least_one(what, call, error):
     with pytest.raises(error, match=f"^{what} must be >= 1, got 0$"):
         call(0)
 
+
+
+# integers that are not sizes, as 0 and values past the support are counted as 0
+INTEGER_ARGUMENTS = (
+    ("stirling2-m", "m", lambda s: stirling2(s, 2)),
+    ("stirling2-k", "k", lambda s: stirling2(4, s)),
+    ("count_independence-alpha", "alpha", lambda s: count_independence(5, s)),
+    ("count_full_binary-alpha", "alpha", lambda s: count_full_binary(2, s)),
+)
+
+
+@pytest.mark.parametrize("bad", (True, 3.0, "x"), ids=("bool", "float", "str"))
+@pytest.mark.parametrize("what, call", [entry[1:] for entry in INTEGER_ARGUMENTS],
+                         ids=[entry[0] for entry in INTEGER_ARGUMENTS])
+def test_every_integer_argument_is_read_strictly(what, call, bad):
+    message = f"^{what} must be an integer, got {re.escape(repr(bad))}$"
+    with pytest.raises(ValueError, match=message):
+        call(bad)
+
+
+@pytest.mark.parametrize("what, call", [entry[1:] for entry in INTEGER_ARGUMENTS],
+                         ids=[entry[0] for entry in INTEGER_ARGUMENTS])
+def test_an_integer_argument_in_text_is_the_integer(what, call):
+    assert call("3") == call(np.int64(3)) == call(3)
+
+
+@pytest.mark.parametrize("trial", (dice_trial, full_binary_trial, binary_lr_trial, plane_trial),
+                         ids=lambda trial: trial.__name__)
+def test_a_trial_reads_its_size_once(trial):
+    # the deal and the coupon read both see the size as the size rule reads it
+    values = [trial(size, np.random.default_rng(7)) for size in (3, "3", np.int64(3))]
+    assert values[0] == values[1] == values[2]

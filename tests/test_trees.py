@@ -41,11 +41,11 @@ small_trees = st.builds(random_tree, st.integers(2, 12), st.integers(0, 2**32 - 
 
 
 def path_tree(n):
-    return RootedTree(n=n, root=1, parent={i: i - 1 for i in range(2, n + 1)})
+    return RootedTree(n=n, root=1, parent=(0, 0, *range(1, n)))
 
 
 def star_tree(n):
-    return RootedTree(n=n, root=1, parent={i: 1 for i in range(2, n + 1)})
+    return RootedTree(n=n, root=1, parent=(0, 0) + (1,) * (n - 1))
 
 
 # --- validation -------------------------------------------------------------
@@ -54,7 +54,7 @@ def star_tree(n):
 def test_validate_accepts_json_style_dict():
     t = validate_tree({"n": "4", "root": "1", "parent": {"2": "1", "3": "1", "4": "3"}})
     assert t.n == 4 and t.root == 1
-    assert t.parent == {2: 1, 3: 1, 4: 3}
+    assert t.parent == (0, 0, 1, 1, 3)
 
 
 def test_validate_accepts_pairs_in_place_of_the_map():
@@ -65,7 +65,7 @@ def test_validate_accepts_pairs_in_place_of_the_map():
 
 def test_validate_single_vertex():
     t = validate_tree({"n": 1})
-    assert t.root == 1 and t.parent == {}
+    assert t.root == 1 and t.parent == (0, 0)
 
 
 @pytest.mark.parametrize(
@@ -98,7 +98,7 @@ def test_validate_single_vertex():
         ({"n": 11, "parent": {2: 1}}, r"^multiple roots: vertices \[1, 3, .* 11\] have"),
         # the (n, root, parent) triple and a RootedTree are not read as input
         ((4, 1, {2: 1, 3: 1, 4: 3}), "^cannot interpret tuple as a rooted tree$"),
-        (RootedTree(n=2, root=1, parent={2: 1}), "^cannot interpret RootedTree as a rooted tree$"),
+        (RootedTree(n=2, root=1, parent=(0, 0, 1)), "^cannot interpret RootedTree as a rooted tree$"),
         # labels past int64 are never read as int64, so they give the roots message
         ({"n": 10**30, "parent": {2: 10**20}}, "^multiple roots: 9{30} vertices have no parent"),
         ({"n": 3, "parent": np.array([[2, 1], [2, 1]])}, "^duplicate parent entry for vertex 2$"),
@@ -176,7 +176,7 @@ def _tree_by_entry(n: int, pairs, declared) -> RootedTree:
         for w in walk:
             state[w] = 2
 
-    return RootedTree(n=n, root=root, parent=parent)
+    return RootedTree(n=n, root=root, parent=tuple(parent.get(v, 0) for v in range(n + 1)))
 
 
 def test_a_long_cycle_is_named_by_its_count_and_first_10_vertices():
@@ -204,8 +204,8 @@ def mutated_parent_entries(draw):
         tree = random_tree(n, draw(st.integers(0, 2**32 - 1)))
     else:  # a path, deep enough to need every round of pointer doubling
         order = draw(st.permutations(range(1, n + 1)))
-        tree = RootedTree(n=n, root=order[0], parent=dict(zip(order[1:], order)))
-    pairs = [list(e) for e in tree.parent.items()]
+        tree = validate_tree({"n": n, "parent": list(zip(order[1:], order))})
+    pairs = [list(e) for e in draw(st.permutations(tree.edges()))]
     label = st.integers(1, n)
     edits = st.sampled_from(
         ("duplicate", "reparent", "cycle", "drop", "root-parent", "range", "type"))
@@ -221,7 +221,7 @@ def mutated_parent_entries(draw):
             pairs.insert(draw(st.integers(0, len(pairs))), [c, draw(label)])
         elif edit == "reparent":
             pairs[i][1] = draw(label)
-        elif edit == "cycle" and c in tree.parent:  # c's parent becomes a descendant, or c
+        elif edit == "cycle" and c in dict(tree.edges()):  # c's parent becomes a descendant, or c
             below = [v for v in range(1, n + 1) if c in line_of_descent(tree, v) and v != c]
             pairs[i][1] = draw(st.sampled_from(below or [c]))
         elif edit == "drop":  # a second root
@@ -237,12 +237,11 @@ def mutated_parent_entries(draw):
 
 
 def outcome(build):
-    """The tree and its entry order, or the TreeError message."""
+    """The tree, or the TreeError message."""
     try:
-        tree = build()
+        return build()
     except TreeError as exc:
         return str(exc)
-    return tree, list(tree.parent.items())
 
 
 @given(mutated_parent_entries(), st.sampled_from(("pairs", "dict", "str-keys", "text")))
@@ -408,11 +407,44 @@ def test_deep_path_is_iterative():
     assert len(path_cover_decomposition(t)) == 1
 
 
+@pytest.mark.parametrize(
+    "n, root, parent",
+    (
+        (3, 1, {2: 1, 3: 1}),  # the child -> parent map, which the scan would read by its keys
+        (3, 1, (0, 0, 1)),  # one entry short
+        (3, 1, (0, 0, 1, 1, 1)),
+        (3, 1, [0, 0, 1, 1]),
+        (3, 1, (1, 0, 1, 1)),  # entry 0 is not 0
+        (3, 2, (0, 0, 1, 1)),  # the root's entry is not 0
+        (3, 4, (0, 0, 1, 1)),
+    ),
+)
+def test_a_tree_is_its_label_indexed_parent_tuple(n, root, parent):
+    with pytest.raises(TreeError, match=r"^parent must be a tuple of n \+ 1 .*validate_tree"):
+        RootedTree(n=n, root=root, parent=parent)
+
+
+@given(trees)
+def test_a_tree_is_its_own_key(t):
+    twin = validate_tree({"n": t.n, "root": t.root, "parent": t.edges()[::-1]})
+    assert twin == t and hash(twin) == hash(t) and len({t, twin}) == 1
+    assert len(t.parent) == t.n + 1 and t.parent[0] == t.parent[t.root] == 0
+    assert all(kids == sorted(kids) for kids in t.children_lists())
+
+
 @pytest.mark.parametrize("call", (classify, slither_encode), ids=("classify", "slither_encode"))
 def test_unvalidated_cycle_raises_tree_error(call):
     # 2 and 3 are each other's parent, so neither is ever a leaf
-    t = RootedTree(n=4, root=1, parent={2: 3, 3: 2, 4: 1})
+    t = RootedTree(n=4, root=1, parent=(0, 0, 3, 2, 1))
     with pytest.raises(TreeError, match="did not reach every vertex"):
+        call(t)
+
+
+@pytest.mark.parametrize("call", (classify, slither_encode), ids=("classify", "slither_encode"))
+def test_unvalidated_second_root_raises_tree_error(call):
+    # 2's entry is 0 like the root's, so the scan deletes a parentless vertex
+    t = RootedTree(n=3, root=1, parent=(0, 0, 0, 1))
+    with pytest.raises(TreeError, match="^pruning deleted a vertex with no parent"):
         call(t)
 
 
@@ -517,7 +549,7 @@ def largest_subset(items, ok):
 
 
 def independent(t, vertices):
-    return not any(t.parent.get(v) in vertices for v in vertices)
+    return not any(t.parent[v] in vertices for v in vertices)
 
 
 def degrees_within(b, edges):
