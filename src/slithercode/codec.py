@@ -12,10 +12,12 @@ for every variant: uniform random sequences are uniform random trees.
 
 Encode and decode are the pruning scan trees._prune, which classify shares:
 a vertex's class is known once its whole subtree is deleted (or restored),
-which happens before its own parent is recorded (or read).  Encoding reads
-the tree's label-indexed parent tuple, and decoding writes one, parent by
-parent, with the root the one label left at 0.  Decoding never looks at
-the variant's name, only its capacity b.
+which happens before its own parent is recorded (or read).  The scan places
+each vertex in its slot and returns the slot order, the auxiliary sequence.
+Encoding gathers the tree's parents in that order, and decoding, whose scan
+reads each parent from its slot, scatters the symbols into a parent tuple,
+with the root the one label left at 0.  Decoding never looks at the
+variant's name, only its capacity b.
 
 The reading rules extract tree parameters from a code without decoding:
 independence and matching numbers, the root and full P-set, and the
@@ -28,8 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .trees import (COMPLY, NORMAL, RootedTree, Variant, _check_positive, _echo, _prune,
-                    _strict_int, _strict_ints)
+from .trees import (COMPLY, NORMAL, RootedTree, Variant, _check_positive, _check_variant, _echo,
+                    _prune, _strict_int, _strict_ints)
 
 
 class CodeError(ValueError):
@@ -46,8 +48,7 @@ class SlitherCode:
 
     def __post_init__(self):
         object.__setattr__(self, "n", _check_positive(self.n, "n", CodeError))
-        if not isinstance(self.variant, Variant):
-            raise CodeError(f"variant must be a Variant, got {_echo(self.variant)}")
+        _check_variant(self.variant, CodeError)
         try:
             sym = tuple(_strict_ints(_symbols(self.symbols), "symbol"))
         except ValueError as exc:
@@ -71,30 +72,15 @@ def _symbols(values) -> tuple:
 def slither_encode(tree: RootedTree, variant: Variant = NORMAL):
     """Encode a rooted tree.  Returns (code, auxiliary).
 
-    The auxiliary sequence lists the deleted vertices in deletion order
+    The auxiliary sequence is the scan's slot order: the deleted vertices
     rearranged to the slots their parents landed in, so auxiliary[i] is the
     child whose parent is code.symbols[i].  It is always a permutation of
     the non-root vertices.
     """
     n, parent = tree.n, tree.parent
-    code, aux = [0] * (n - 1), [0] * (n - 1)
-    left, right = 0, n - 2
-
-    def place(v, is_p):
-        nonlocal left, right
-        p = parent[v]
-        if is_p:
-            code[left], aux[left] = p, v
-            left += 1
-        else:
-            code[right], aux[right] = p, v
-            right -= 1
-        return p
-
-    _prune(n, parent, variant.b, place)
-    if left != right + 1:
-        raise AssertionError("slot pointers did not meet")
-    return SlitherCode(n=n, variant=variant, symbols=tuple(code)), tuple(aux)
+    _, order = _prune(n, parent, variant)
+    symbols = tuple(map(parent.__getitem__, order))
+    return SlitherCode(n=n, variant=variant, symbols=symbols), tuple(order)
 
 
 def slither_decode(code: SlitherCode) -> RootedTree:
@@ -102,28 +88,15 @@ def slither_decode(code: SlitherCode) -> RootedTree:
 
     The occurrence count of v in the code is its out-degree, so a vertex is
     ready to be deleted (in replay order) once all its children have been
-    assigned.  Ready vertices are consumed smallest-first; whether the
-    parent is read from the left or the right end follows from the restored
-    subtree's classification.
+    assigned.  Ready vertices are consumed smallest-first, and the scan
+    reads each one's parent from the slot it places the vertex in, which
+    follows from the restored subtree's classification.
     """
     n, sym = code.n, code.symbols
+    _, order = _prune(n, sym, code.variant, by_slot=True)
     parent = [0] * (n + 1)
-    left, right = 0, n - 2
-
-    def place(v, is_p):
-        nonlocal left, right
-        if is_p:
-            p = sym[left]
-            left += 1
-        else:
-            p = sym[right]
-            right -= 1
+    for v, p in zip(order, sym):
         parent[v] = p
-        return p
-
-    _prune(n, sym, code.variant.b, place)
-    if left != right + 1:
-        raise AssertionError("slot pointers did not meet")
     # the scan deletes n - 1 distinct labels, so the root is the one left at 0
     return RootedTree(n=n, root=parent.index(0, 1), parent=tuple(parent))
 

@@ -26,8 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice, product
 
-from . import games
-from .codec import SlitherCode, slither_decode
+from .codec import SlitherCode, prefix_alpha, slither_decode
 from .trees import Variant, _check_positive, _strict_int, classify
 
 _ENUM_BUDGET = 7  # n^(n-2) tree and n^(n-1) throw sweeps stay interactive up to here
@@ -207,8 +206,8 @@ def exact_rooted_distribution(n: int, parameter: str = "independence",
 
 
 def exact_dice_distribution(n: int) -> DistributionTable:
-    """Exact dice-game stop distribution: coupon read over all n^(n-1) throws."""
+    """Exact dice-game stop distribution: the coupon read, prefix_alpha, over all n^(n-1) throws."""
     n = _check_budget(n)
-    counts = Counter(games.coupon_read(digits, n) for digits in all_codes(n))
+    counts = Counter(prefix_alpha(digits, n) for digits in all_codes(n))
     return DistributionTable(family="dice", parameter="alpha", n=n,
                              counts=counts, total=n ** (n - 1))

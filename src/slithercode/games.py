@@ -305,7 +305,9 @@ def sample_uniform_labelled_tree(n: int, rng: np.random.Generator | None = None)
 
 @dataclass(frozen=True)
 class TrialHistogram:
-    """Counts of a trial statistic, tagged with its provenance."""
+    """Counts of a trial statistic, tagged with its provenance.  Where it is built,
+    parameter must be a string, n >= 1, the seed one RandomSource takes, and the
+    counts >= 0, summing to trials."""
 
     parameter: str
     n: int
@@ -314,6 +316,10 @@ class TrialHistogram:
     counts: dict[int, int]
 
     def __post_init__(self):
+        if not isinstance(self.parameter, str):
+            raise ValueError(f"parameter must be a string, got {_echo(self.parameter)}")
+        object.__setattr__(self, "n", _check_positive(self.n, "n"))
+        object.__setattr__(self, "seed", RandomSource(self.seed).seed)
         for v, c in self.counts.items():
             if c < 0:
                 raise ValueError(f"counts must be >= 0, got {c} for value {v}")
@@ -355,9 +361,8 @@ class TrialHistogram:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "TrialHistogram":
-        """Read integers strictly; every field is required, parameter is a string, counts
-        is an object with one key per value, n and trials are >= 1, the seed is one
-        RandomSource takes, counts are >= 0 and sum to trials."""
+        """Read integers strictly; every field is required, counts is an object with one
+        key per value and trials is >= 1, besides what the constructor checks."""
         if not isinstance(d, dict):
             raise ValueError(f"a histogram must be an object, got {_echo(d)}")
         missing = [k for k in ("parameter", "n", "trials", "seed", "counts") if k not in d]
@@ -366,14 +371,12 @@ class TrialHistogram:
         raw = d["counts"]
         if not isinstance(raw, dict):
             raise ValueError(f"counts must be an object, got {_echo(raw)}")
-        if not isinstance(d["parameter"], str):
-            raise ValueError(f"parameter must be a string, got {_echo(d['parameter'])}")
-        n, trials = _check_positive(d["n"], "n"), _check_positive(d["trials"], "trials")
-        seed = RandomSource(d["seed"]).seed
+        trials = _check_positive(d["trials"], "trials")
         counts = {_strict_int(v, "count key"): _strict_int(c, "count") for v, c in raw.items()}
         if len(counts) != len(raw):
             raise ValueError(f"two count keys spell the same value in {_echo([*raw])}")
-        return cls(parameter=d["parameter"], n=n, trials=trials, seed=seed, counts=counts)
+        return cls(parameter=d["parameter"], n=d["n"], trials=trials, seed=d["seed"],
+                   counts=counts)
 
 
 def run_trials(trial, trials: int, seed: int, *, n: int, parameter: str,

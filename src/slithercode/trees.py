@@ -19,7 +19,9 @@ two smallest P-children, decompose the tree into a minimum path cover.
 
 The rule is evaluated in one place, the pruning scan _prune behind classify
 and the codes' encode and decode: it deletes smallest-labelled leaves one
-by one, and classifies each vertex as it is deleted.
+by one, classifies each vertex as it is deleted, and places it in the
+leftmost open slot of the code if it is P, the rightmost if it is N.  Its
+slot order is the codes' auxiliary sequence.
 """
 
 from __future__ import annotations
@@ -84,6 +86,13 @@ def _check_positive(value, what: str, error: type[ValueError] = ValueError) -> i
         raise error(str(exc)) from None
     if value < 1:
         raise error(f"{what} must be >= 1, got {value}")
+    return value
+
+
+def _check_variant(value, error: type[ValueError] = ValueError) -> Variant:
+    """value, the one rule for every variant argument; raise error unless it is a Variant."""
+    if not isinstance(value, Variant):
+        raise error(f"variant must be a Variant, got {_echo(value)}")
     return value
 
 
@@ -408,30 +417,43 @@ class PositionMap:
         return sum(b if c > b - 1 else c for c in islice(self.p_child_count, 1, None))
 
 
-def _prune(n: int, parents, b: int, place) -> list[int]:
-    """Delete n-1 vertices, smallest ready first; return P-child counts by label.
+def _prune(n: int, parents, variant: Variant, by_slot: bool = False):
+    """Delete n-1 vertices, smallest ready first, each into a slot; return (pcount, order).
 
-    `parents` holds every non-root vertex's parent, in any order, plus any
-    number of 0s, which count toward the unused entry 0 only: a code's
-    symbols or a tree's parent tuple.  A vertex is ready once all its
-    children are deleted, so its P-child count is final and it is P iff the
-    count is below b.  place(v, is_p) records the deletion and returns v's
-    parent.  Only that parent can become ready, and if it lies below the
-    scan pointer it is the smallest ready vertex, so a forward pointer plus
-    that one candidate replaces a heap.  Parents with a cycle or a second
-    root raise TreeError.
+    pcount holds the P-child counts by label, and order the deleted vertices
+    by slot: of the n-1 slots, a P-vertex takes the leftmost open one and an
+    N-vertex the rightmost, so order is the code's auxiliary sequence.
+    parents[v] is v's parent, or parents[slot] with by_slot: a tree's parent
+    tuple, whose 0s at entry 0 and the root count toward entry 0 only, or a
+    code's symbols.  A vertex is ready once all its children are deleted, so
+    its P-child count is final and it is P iff the count is below b.  Only
+    the parent of a deleted vertex can become ready, and if it lies below
+    the scan pointer it is the smallest ready vertex, so a forward pointer
+    plus that one candidate replaces a heap.  A label that is not an integer
+    in 0..n, a cycle or a second root raises TreeError.
     """
-    pending, pcount = [0] * (n + 1), [0] * (n + 1)
-    try:
+    b = _check_variant(variant).b
+    pending, pcount, order = [0] * (n + 1), [0] * (n + 1), [0] * (n - 1)
+    try:  # a label past n overruns pending; one below 0 would wrap, and a code's are in 1..n
         for p in parents:
             pending[p] += 1
-        zeros = pending[0]
+        if not by_slot and min(parents) < 0:
+            raise IndexError
+    except (LookupError, TypeError):
+        raise TreeError(f"a parent label is not an integer in 0..{n}") from None
+    left, right, zeros = 0, n - 2, pending[0]
+    try:
         ptr = v = pending.index(0, 1)
         for _ in range(n - 1):
-            is_p = pcount[v] < b
-            p = place(v, is_p)
-            if is_p:
+            if pcount[v] < b:
+                p = parents[left if by_slot else v]
                 pcount[p] += 1
+                order[left] = v
+                left += 1
+            else:
+                p = parents[right if by_slot else v]
+                order[right] = v
+                right -= 1
             pending[p] -= 1
             if pending[p] == 0 and p < ptr:
                 v = p
@@ -444,13 +466,12 @@ def _prune(n: int, parents, b: int, place) -> list[int]:
         raise TreeError("pruning did not reach every vertex") from None
     if pending[0] != zeros:  # each deleted vertex with parent 0 took one off pending[0]
         raise TreeError("pruning deleted a vertex with no parent: a second root")
-    return pcount
+    return pcount, order
 
 
 def classify(tree: RootedTree, variant: Variant = NORMAL) -> PositionMap:
     """Classify all vertices bottom-up by the codes' pruning scan, keeping its count list."""
-    parent = tree.parent
-    pcount = _prune(tree.n, parent, variant.b, lambda v, is_p: parent[v])
+    pcount, _ = _prune(tree.n, tree.parent, variant)
     return PositionMap(variant=variant, n=tree.n, p_child_count=pcount)
 
 

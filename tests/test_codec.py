@@ -30,6 +30,7 @@ from slithercode import (
     slither_decode,
     slither_encode,
 )
+from slithercode.trees import _prune
 
 from conftest import random_tree
 
@@ -175,6 +176,18 @@ def test_encode_matches_the_definition(n, seed, b):
     for variant in (capacity(b), capacity(n)):
         code, aux = slither_encode(t, variant)
         assert (code.symbols, aux) == definitional_encode(t, variant)
+
+
+@given(st.integers(1, 40), st.integers(0, 2**32 - 1), st.sampled_from((1, 2, 3, None)))
+def test_the_scans_slot_order_is_the_auxiliary_sequence(n, seed, b):
+    # read by label from the tree or by slot from its code, the scan places
+    # every vertex in the same slot and counts the same P-children
+    t, variant = random_tree(n, seed), capacity(b or n)
+    code, aux = slither_encode(t, variant)
+    by_label = _prune(n, t.parent, variant)
+    by_slot = _prune(n, code.symbols, variant, by_slot=True)
+    assert tuple(by_label[1]) == tuple(by_slot[1]) == aux
+    assert by_label[0] == by_slot[0] == classify(t, variant).p_child_count
 
 
 @given(codes(max_n=32))

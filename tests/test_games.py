@@ -499,6 +499,19 @@ def test_histogram_checks_its_counts_where_it_is_built(counts, message):
         TrialHistogram(parameter="alpha", n=5, trials=10, seed=1, counts=counts)
 
 
+@pytest.mark.parametrize("field, bad, message", [
+    ("parameter", 5, "parameter must be a string, got 5"),
+    ("n", 0, "n must be >= 1, got 0"),
+    ("seed", -3, "seed must be in 0..2^64-1, got -3"),
+], ids=("parameter", "n", "seed"))
+def test_histogram_checks_its_fields_where_it_is_built(field, bad, message):
+    # only from_json_dict checked them, so TrialHistogram(parameter=5, n=0, seed=-3) was built
+    good = dict(parameter="alpha", n=5, trials=0, seed=1, counts={})
+    assert TrialHistogram(**good).trials == 0  # an empty index range of a run tallies nothing
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        TrialHistogram(**{**good, field: bad})
+
+
 @pytest.mark.parametrize("d", (5, None, [["n", 5]], "alpha"))
 def test_histogram_from_json_refuses_a_non_object(d):
     with pytest.raises(ValueError, match=f"^a histogram must be an object, got {re.escape(repr(d))}$"):

@@ -6,9 +6,11 @@ One more keeps the command line drawing every family through games.DEALS,
 and every game through one coupon_read line; counting keeps no module-level
 list, so no cache, and its closed forms share one integrality check; a tree's
 root count, declared root and cycles are each checked in one place, and so is
-the size rule, which the command line's integer flags follow too.  The
-strategic set and the path cover both read the one link pass, trees._links,
-and run_trials builds each trial's generator through RandomSource.trial_rng.
+the size rule, which the command line's integer flags follow too, and the
+variant rule.  The slot rule lives in the pruning scan alone, with no
+callback and no closure.  The strategic set and the path cover both read the
+one link pass, trees._links, and run_trials builds each trial's generator
+through RandomSource.trial_rng.
 A tree is one label-indexed parent tuple, built in three places, with no
 second form to adapt it back to.
 """
@@ -111,6 +113,26 @@ def test_the_size_rule_has_one_copy(phrase):
     # the messages of trees._strict_int and trees._check_positive, which every size goes through
     found = lines_with(phrase)
     assert len(found) == 1, f"{phrase!r} should occur once in the package: {found}"
+
+
+def test_the_variant_rule_has_one_copy():
+    # the message of trees._check_variant, which SlitherCode and the pruning scan go through
+    found = lines_with("must be a Variant")
+    assert len(found) == 1, f"'must be a Variant' should occur once in the package: {found}"
+
+
+def test_the_slot_rule_has_one_copy():
+    # the pruning scan keeps the slot pointers itself: no closure rebinds them,
+    # and the scan calls none of its arguments back
+    found = [(path.name, node.lineno) for path in MODULES for node in ast.walk(parse(path))
+             if isinstance(node, ast.Nonlocal)]
+    assert not found, f"nonlocal is back: {found}"
+    func = next(node for node in parse(PACKAGE / "trees.py").body
+                if isinstance(node, ast.FunctionDef) and node.name == "_prune")
+    params = {arg.arg for arg in func.args.args}
+    called = {node.func.id for node in ast.walk(func)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    assert not params & called, f"_prune calls back its argument {sorted(params & called)}"
 
 
 def test_no_size_is_called_a_positive_integer():

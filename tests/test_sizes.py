@@ -75,6 +75,8 @@ ENTRY_POINTS = (
      ValueError),
     ("run_trials", "trials", lambda s: run_trials(lambda rng: 1, s, 1, n=3, parameter="a"),
      ValueError),
+    ("TrialHistogram", "n",
+     lambda s: TrialHistogram(parameter="a", n=s, trials=0, seed=1, counts={}), ValueError),
     ("from_json_dict-n", "n", lambda s: TrialHistogram.from_json_dict({**HISTOGRAM, "n": s}),
      ValueError),
     ("from_json_dict-trials", "trials",

@@ -1,6 +1,7 @@
 """Tree validation, position classification, and the optimal-play certificates."""
 
 import itertools
+import re
 from itertools import islice
 import tracemalloc
 from collections import Counter
@@ -446,6 +447,26 @@ def test_unvalidated_second_root_raises_tree_error(call):
     t = RootedTree(n=3, root=1, parent=(0, 0, 0, 1))
     with pytest.raises(TreeError, match="^pruning deleted a vertex with no parent"):
         call(t)
+
+
+@pytest.mark.parametrize("call", (classify, slither_encode), ids=("classify", "slither_encode"))
+@pytest.mark.parametrize("parent", ((0, 0, -1, 1), (0, 0, -4, 1), (0, 0, 4, 1), (0, 0, 1.5, 1),
+                                    (0, 0, "1", 1)),
+                         ids=("minus-1", "wraps-to-0", "past-n", "float", "str"))
+def test_unvalidated_label_outside_0_to_n_raises_tree_error(call, parent):
+    # pending[-1] wrapped to label 3, so classify returned counts [0, 0, 0, 1]
+    t = RootedTree(n=3, root=1, parent=parent)
+    with pytest.raises(TreeError, match=r"^a parent label is not an integer in 0\.\.3$"):
+        call(t)
+
+
+@pytest.mark.parametrize("call", (classify, slither_encode), ids=("classify", "slither_encode"))
+@pytest.mark.parametrize("variant", (2, "normal", None))
+def test_the_scan_refuses_a_variant_that_is_not_one(fig1, call, variant):
+    # both read variant.b and failed with an AttributeError
+    shown = re.escape(repr(variant))
+    with pytest.raises(ValueError, match=f"^variant must be a Variant, got {shown}$"):
+        call(fig1["tree"], variant)
 
 
 @given(trees)
