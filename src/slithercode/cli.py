@@ -111,7 +111,7 @@ def parse_code(text: str, variant: Variant, n_flag: int | None) -> SlitherCode:
             head = rows[0].split()
             if (len(head) == 2 and _INT_TEXT.fullmatch(head[0])
                     and not _INT_TEXT.fullmatch(head[1])):
-                header_n = int(head[0])
+                header_n = _strict_int(head[0], "n")
                 header_variant = Variant.parse(head[1])
                 rows = rows[1:]
         body = "\n".join(rows)
@@ -156,14 +156,25 @@ def _write_out(text: str) -> None:
         data = data[raw.write(data):]
 
 
-def emit_json(obj) -> None:
-    _write_out(json.dumps(obj, indent=2) + "\n")
-
-
-def emit_kv(obj: dict) -> None:
+def kv_text(obj: dict) -> str:
     """One 'key: value' line per entry, a list's items space-separated."""
-    _write_out("".join(f"{k}: {' '.join(map(str, v)) if isinstance(v, list) else v}\n"
-                       for k, v in obj.items()))
+    return "".join(f"{k}: {' '.join(map(str, v)) if isinstance(v, list) else v}\n"
+                   for k, v in obj.items())
+
+
+def table_text(obj, keys, rows) -> str:
+    """A '# key value' line per key, its value obj's attribute, then each row space-separated."""
+    return ("".join(f"# {k} {getattr(obj, k)}\n" for k in keys)
+            + "".join(" ".join(map(str, row)) + "\n" for row in rows))
+
+
+def _params_text(out: dict, maps: dict):
+    """kv_text(out), then a classification row per map, each built once the last is written."""
+    yield kv_text(out)
+    for name, pm in maps.items():
+        cells = [0] * (2 * pm.n)
+        cells[::2], cells[1::2] = range(1, pm.n + 1), pm.label_list()
+        yield f"classification[{name}]: " + " ".join(["%d:%s"] * pm.n) % tuple(cells) + "\n"
 
 
 def resolve_seed(seed: int | None) -> int:
@@ -184,33 +195,25 @@ def resolve_threads(flag: int | None) -> int:
 # --- subcommands ------------------------------------------------------------
 
 
-def cmd_encode(args) -> int:
+def cmd_encode(args):
     tree = parse_tree(read_input(args.input))
     code, aux = codec.slither_encode(tree, args.variant)
     if args.format == "json":
-        emit_json({"n": code.n, "variant": code.variant.name,
-                   "symbols": list(code.symbols), "auxiliary": list(aux)})
-    else:
-        _write_out(code_to_text(code))
-    return 0
+        return {"n": code.n, "variant": code.variant.name,
+                "symbols": list(code.symbols), "auxiliary": list(aux)}
+    return code_to_text(code)
 
 
-def cmd_decode(args) -> int:
+def cmd_decode(args):
     code = parse_code(read_input(args.input), args.variant, args.n)
     tree = codec.slither_decode(code)
-    if args.format == "json":
-        emit_json(tree_to_json_dict(tree))
-    else:
-        _write_out(tree_to_text(tree))
-    return 0
+    return tree_to_json_dict(tree) if args.format == "json" else tree_to_text(tree)
 
 
-def cmd_params(args) -> int:
+def cmd_params(args):
     tree = parse_tree(read_input(args.input))
-    b = args.b
-    pm_normal = trees.classify(tree, NORMAL)
-    pm_comply = trees.classify(tree, Variant(2))
-    matching, path_edges = pm_normal.capacity_edges(), pm_comply.capacity_edges()
+    maps = {"normal": trees.classify(tree, NORMAL), "comply": trees.classify(tree, Variant(2))}
+    matching, path_edges = maps["normal"].capacity_edges(), maps["comply"].capacity_edges()
     out = {
         "n": tree.n,
         "root": tree.root,
@@ -218,23 +221,15 @@ def cmd_params(args) -> int:
         "matching": matching,
         "path_edges": path_edges,
         "path_cover": tree.n - path_edges,
-        "b": b,
-        "capacity_edges": trees.max_capacity_edges(tree, b),
+        "b": args.b,
+        "capacity_edges": trees.max_capacity_edges(tree, args.b),
     }
     if args.format == "json":
-        emit_json({**out, "classification": {"normal": pm_normal.labels(),
-                                             "comply": pm_comply.labels()}})
-    else:
-        emit_kv(out)
-        for name, pm in (("normal", pm_normal), ("comply", pm_comply)):
-            cells = [0] * (2 * tree.n)
-            cells[::2], cells[1::2] = range(1, tree.n + 1), pm.label_list()
-            _write_out(f"classification[{name}]: "
-                       + " ".join(["%d:%s"] * tree.n) % tuple(cells) + "\n")
-    return 0
+        return {**out, "classification": {k: pm.labels() for k, pm in maps.items()}}
+    return _params_text(out, maps)
 
 
-def cmd_read(args) -> int:
+def cmd_read(args):
     code = parse_code(read_input(args.input), args.variant, args.n)
     b = code.variant.b
     if b == 1:
@@ -251,8 +246,7 @@ def cmd_read(args) -> int:
         beta, edges = codec.read_capacity_edges(code, b)
         out = {"n": code.n, "variant": code.variant.name, "b": b,
                "beta": beta, "capacity_edges": edges}
-    (emit_json if args.format == "json" else emit_kv)(out)
-    return 0
+    return out if args.format == "json" else kv_text(out)
 
 
 # Bounds --n of sample, simulate and clt, and --n times --count of sample, whose
@@ -268,7 +262,7 @@ def _check_bound(flag: str, value: int | None, bound: int) -> None:
         raise ValueError(f"{flag} is bounded at {bound}, got {value}")
 
 
-def cmd_sample(args) -> int:
+def cmd_sample(args):
     _check_bound("--n", args.n, _SAMPLE_MAX_N)
     _check_positive(args.count, "--count")
     if args.n * args.count > _SAMPLE_MAX_N:
@@ -284,13 +278,11 @@ def cmd_sample(args) -> int:
                for i in range(args.count)]
     if args.format == "json":
         dicts = [tree_to_json_dict(t) for t in sampled]
-        emit_json(dicts if args.count > 1 else dicts[0])
-    else:
-        _write_out("\n".join(tree_to_text(t) for t in sampled))
-    return 0
+        return dicts if args.count > 1 else dicts[0]
+    return "\n".join(tree_to_text(t) for t in sampled)
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args):
     _check_bound("--n", args.n, _SAMPLE_MAX_N)
     _check_bound("--trials", args.trials, _TRIALS_MAX)
     resolve_threads(args.threads)
@@ -315,24 +307,9 @@ def cmd_simulate(args) -> int:
     hist = games.run_trials(lambda rng: games.coupon_read(deal(n, rng), n), args.trials,
                             seed, n=n, parameter="alpha")
     if args.format == "json":
-        emit_json(hist.to_json_dict())
-    else:
-        print(f"# game {game}")
-        for k in ("n", "parameter", "trials", "seed"):
-            print(f"# {k} {getattr(hist, k)}")
-        for v, c in sorted(hist.counts.items()):
-            print(f"{v} {c}")
-    return 0
-
-
-def _emit_table(table: counting.DistributionTable, fmt: str) -> None:
-    if fmt == "json":
-        emit_json(table.to_json_dict())
-        return
-    for k in ("family", "parameter", "n", "total"):
-        print(f"# {k} {getattr(table, k)}")
-    for v, p in table.probabilities().items():
-        print(f"{v} {table.counts[v]} {p:.9g}")
+        return hist.to_json_dict()
+    return f"# game {game}\n" + table_text(hist, ("n", "parameter", "trials", "seed"),
+                                            sorted(hist.counts.items()))
 
 
 # Bounds both closed-form tables by their time, about n^2.5 on one CPU: the
@@ -341,7 +318,7 @@ def _emit_table(table: counting.DistributionTable, fmt: str) -> None:
 _CLOSED_FORM_MAX_N = 1000
 
 
-def cmd_enumerate(args) -> int:
+def cmd_enumerate(args):
     if args.b is not None and args.parameter != "capacity-edges":
         raise ValueError("--b applies only to --parameter capacity-edges")
     if args.parameter is None and args.n > _CLOSED_FORM_MAX_N:
@@ -357,38 +334,35 @@ def cmd_enumerate(args) -> int:
     else:
         table = counting.exact_rooted_distribution(
             args.n, args.parameter.replace("-", "_"), b=2 if args.b is None else args.b)
-    _emit_table(table, args.format)
-    return 0
+    if args.format == "json":
+        return table.to_json_dict()
+    return table_text(table, ("family", "parameter", "n", "total"),
+                      ((v, table.counts[v], f"{p:.9g}") for v, p in table.probabilities().items()))
 
 
-def cmd_constants(args) -> int:
+def cmd_constants(args):
     rep = asymptotics.constants().to_json_dict()
     if args.format == "json":
-        emit_json(rep)
-    else:
-        width = max(map(len, rep))
-        for k, v in rep.items():
-            print(f"{k:<{width}}  {v}")
-    return 0
+        return rep
+    width = max(map(len, rep))
+    return "".join(f"{k:<{width}}  {v}\n" for k, v in rep.items())
 
 
-def cmd_clt(args) -> int:
+def cmd_clt(args):
     _check_bound("--n", args.n, _SAMPLE_MAX_N)
     _check_bound("--trials", args.trials, _TRIALS_MAX)
     seed = resolve_seed(args.seed)
-    rep = asymptotics.clt_check(args.n, args.trials, seed)
-    (emit_json if args.format == "json" else emit_kv)(rep.to_json_dict())
-    return 0
+    rep = asymptotics.clt_check(args.n, args.trials, seed).to_json_dict()
+    return rep if args.format == "json" else kv_text(rep)
 
 
-def cmd_verify(args) -> int:
-    passed = total = 0
+def cmd_verify(args):
+    oks = []
     for name, ok, detail in verify.run(args.level):
-        print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
-        passed += ok
-        total += 1
-    print(f"{passed}/{total} checks passed ({args.level} level)")
-    return 0 if passed == total else 1
+        yield f"{'PASS' if ok else 'FAIL'} {name}: {detail}\n"
+        oks.append(ok)
+    yield f"{sum(oks)}/{len(oks)} checks passed ({args.level} level)\n"
+    return int(not all(oks))
 
 
 # --- argument parsing -------------------------------------------------------
@@ -400,6 +374,14 @@ def _flag_int(text: str) -> int:
 
 
 _flag_int.__name__ = "int"  # argparse's message names the type: "invalid int value: 'x'"
+
+
+def _flag_variant(text: str) -> Variant:
+    """A --variant flag, read by Variant.parse; argparse shows parse's own message."""
+    try:
+        return Variant.parse(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -421,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="output format (default text)")
 
     def variant(p, required=True):
-        p.add_argument("--variant", type=Variant.parse, required=required,
+        p.add_argument("--variant", type=_flag_variant, required=required,
                        metavar="{normal|comply|b=K}",
                        help="game variant; always explicit, no default")
 
@@ -460,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=_flag_int, default=1)
     p.add_argument("--seed", type=_flag_int, default=None,
                    help="omit to draw one from system entropy (echoed to stderr)")
-    p.add_argument("--variant", type=Variant.parse, default=NORMAL,
+    p.add_argument("--variant", type=_flag_variant, default=NORMAL,
                    metavar="{normal|comply|b=K}",
                    help="decode variant, for every family (default normal; "
                         "does not change the distribution)")
@@ -510,15 +492,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
+    """Run argv's command, write what it returns and return the exit status.  A command
+    returns text as a str or as pieces written one by one, or with --format json the value
+    to dump; verify yields each check's line as it finishes and returns the status."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    out = args.func(args)
+    if getattr(args, "format", None) == "json":
+        out = json.dumps(out, indent=2) + "\n"
+    pieces = iter([out] if isinstance(out, str) else out)
+    try:
+        while True:
+            _write_out(next(pieces))
+    except StopIteration as stop:  # a generator's value is its exit status
+        sys.stdout.flush()  # a closed pipe fails here, not at exit
+        return stop.value or 0
 
 
 def main(argv=None) -> int:
     try:
-        status = run(argv)
-        sys.stdout.flush()  # a closed pipe fails here, not at exit
-        return status
+        return run(argv)
     except BrokenPipeError:
         # the reader closed stdout: exit quietly with a shell's status for SIGPIPE,
         # and point fd 1 at devnull so the interpreter's last flush cannot fail

@@ -247,7 +247,7 @@ def read_path_edges(code: SlitherCode):
 def read_capacity_edges(code: SlitherCode, b: int):
     """(beta, max size of a degree-<=b edge set) from a capacity-b code."""
     _require_variant(code, Variant(b), "read_capacity_edges")
-    return _saturation_read(code.symbols, code.n, b)
+    return _saturation_read(code.symbols, code.n, code.variant.b)
 
 
 # --- classical Prufer, for unrooted uniform sampling ------------------------

@@ -127,9 +127,10 @@ class RandomSource:
         together and kept for the latest block, so a run of consecutive
         trials hashes each index once, in bulk.  The generator cannot spawn:
         it has no SeedSequence to spawn from, and nothing in this package
-        spawns.  An index outside 0..2^64-1 raises ValueError, as splitmix64
-        would read it mod 2^64.
+        spawns.  The index is read as _strict_int reads it, and one outside
+        0..2^64-1 raises ValueError, as splitmix64 would read it mod 2^64.
         """
+        index = _strict_int(index, "trial index")
         if not 0 <= index <= _MASK64:
             raise ValueError(f"trial index must be in 0..2^64-1, got {index}")
         block, row = divmod(index, _BLOCK)
@@ -320,12 +321,9 @@ class TrialHistogram:
             raise ValueError(f"parameter must be a string, got {_echo(self.parameter)}")
         object.__setattr__(self, "n", _check_positive(self.n, "n"))
         object.__setattr__(self, "seed", RandomSource(self.seed).seed)
-        for v, c in self.counts.items():
-            if c < 0:
-                raise ValueError(f"counts must be >= 0, got {c} for value {v}")
-        if sum(self.counts.values()) != self.trials:
-            raise ValueError(f"counts sum to {sum(self.counts.values())}, "
-                             f"not to trials = {self.trials}")
+        total = _total(self.counts)
+        if total != self.trials:
+            raise ValueError(f"counts sum to {total}, not to trials = {self.trials}")
 
     def probabilities(self) -> dict[int, float]:
         return {v: c / self.trials for v, c in sorted(self.counts.items())}
@@ -395,11 +393,19 @@ def run_trials(trial, trials: int, seed: int, *, n: int, parameter: str,
                           counts=dict(sorted(counts.items())))
 
 
+def _total(counts: dict) -> int:
+    """The sum of the counts; ValueError names a negative one, which no distribution has."""
+    for v, c in counts.items():
+        if c < 0:
+            raise ValueError(f"counts must be >= 0, got {c} for value {v}")
+    return sum(counts.values())
+
+
 def _counts_and_total(dist):
     counts = getattr(dist, "counts", dist)
     if not counts:
         raise ValueError("empty distribution")
-    total = sum(counts.values())
+    total = _total(counts)
     if total <= 0:
         raise ValueError("distribution has no mass")
     return counts, total

@@ -27,6 +27,7 @@ slot order is the codes' auxiliary sequence.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from itertools import islice
 
@@ -72,10 +73,19 @@ def _strict_int(value, what: str = "value") -> int:
         return value
     if isinstance(value, str):
         if _INT_TEXT.fullmatch(value):
-            return int(value)
+            try:
+                return int(value)
+            except ValueError:  # past int()'s digit limit
+                raise _too_long(what, value) from None
     elif isinstance(value, (int, np.integer)) and not isinstance(value, bool):
         return int(value)
     raise ValueError(f"{what} must be an integer, got {_echo(value)}")
+
+
+def _too_long(what: str, text: str) -> ValueError:
+    """The error for integer text longer than int() reads, sys.get_int_max_str_digits()."""
+    return ValueError(f"{what} has more than {sys.get_int_max_str_digits()} digits, "
+                      f"got {_echo(text)}")
 
 
 def _check_positive(value, what: str, error: type[ValueError] = ValueError) -> int:
@@ -127,9 +137,7 @@ class Variant:
             body = t[len("capacity("):-1]
         else:
             raise ValueError(f"unknown variant {_echo(text)} (expected normal, comply, or b=K)")
-        if not _INT_TEXT.fullmatch(body):
-            raise ValueError(f"bad capacity in variant {_echo(text)}")
-        return cls(int(body))
+        return cls(body)  # read by the size rule
 
     def __str__(self):
         return self.name
@@ -181,21 +189,22 @@ def _strict_ints(values, what: str):
     """The values as ints, read once, each as _strict_int reads it.
 
     All ints come back as they are.  Strings that are all unsigned are
-    checked at once, over their joined text; any other values go one at a
-    time through _strict_int.  ValueError names the first value that is not
-    an integer and its index.
+    checked at once, over their joined text, and read by int(); any other
+    values are read by _strict_int.  Either way one walk reads them, and its
+    ValueError names the first value it could not read and its index.
     """
     kinds = set(map(type, values))
     if kinds == {int}:
         return values
     # bytes.isdigit takes ASCII digits only, and "replace" turns the rest into "?"
-    if kinds == {str} and all(values) and "".join(values).encode("ascii", "replace").isdigit():
-        return list(map(int, values))
+    digits = kinds == {str} and all(values) and "".join(values).encode("ascii", "replace").isdigit()
     out: list[int] = []
     try:  # extend keeps what it read before a failure, so len(out) is the index
-        out.extend(map(_strict_int, values))
+        out.extend(map(int if digits else _strict_int, values))
     except ValueError:
         i = len(out)
+        if isinstance(values[i], str) and _INT_TEXT.fullmatch(values[i]):
+            raise _too_long(f"{what} at index {i}", values[i]) from None
         raise ValueError(f"non-integer {what} {_echo(values[i])} at index {i}") from None
     return out
 
@@ -506,7 +515,8 @@ def _links(tree: RootedTree, b: int) -> list[int]:
     that c links up to, and 0 means no link.  A P-vertex has fewer than b
     P-children, so it links to all of them.
     """
-    pcount = classify(tree, Variant(b)).p_child_count
+    pm = classify(tree, Variant(b))
+    b, pcount = pm.variant.b, pm.p_child_count
     taken, up = [0] * (tree.n + 1), [0] * (tree.n + 1)
     for c, v in enumerate(tree.parent):  # ascending, so each vertex takes its smallest first
         if v and pcount[c] < b and taken[v] < b:

@@ -625,6 +625,17 @@ def test_argparse_errors_about_short_values_stay_whole(capsys, argv, message):
     assert code == 2 and err.endswith(f"\n{message}\n")
 
 
+@pytest.mark.parametrize("value, message", (
+    ("weird", "unknown variant 'weird' (expected normal, comply, or b=K)"),
+    ("b=0", "capacity must be >= 1, got 0"),
+    ("b=x", "capacity must be an integer, got 'x'"),
+))
+def test_a_bad_variant_flag_keeps_the_library_message(capsys, value, message):
+    # argparse said "invalid parse value: 'weird'", naming the function Variant.parse
+    code, err = argparse_exit(capsys, "decode", "1 1", "--variant", value)
+    assert code == 2 and err.endswith(f" error: argument --variant: {message}\n")
+
+
 @pytest.mark.parametrize(
     "argv, flag, value",
     (
@@ -640,6 +651,25 @@ def test_integer_flags_follow_the_input_integer_rule(capsys, argv, flag, value):
     # argparse's int() took each of these, which input integers refuse
     code, err = argparse_exit(capsys, *argv)
     assert code == 2 and err.endswith(f" error: argument {flag}: invalid int value: {value!r}\n")
+
+
+# 0 where int() reads text of any length: before Python 3.10.7, or with the limit off
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+TOO_LONG = "9" * (DIGIT_LIMIT + 1)
+
+
+@pytest.mark.skipif(not DIGIT_LIMIT, reason="int() reads integer text of any length")
+@pytest.mark.parametrize("text, what", (
+    (f"1 {TOO_LONG}", "symbol at index 1"),
+    (f'{{"symbols": [1, "{TOO_LONG}"]}}', "symbol at index 1"),
+    (f"{TOO_LONG} normal\n1 1", "n"),
+), ids=("code-text", "code-json", "code-header"))
+def test_integer_text_past_the_digit_limit_exits_2_naming_it(capsys, text, what):
+    # the text code exited 2 with Python's "Exceeds the limit (4300 digits) ..." message
+    rc, out, err = run_cli(capsys, "decode", "--variant", "normal", text)
+    assert (rc, out) == (2, "")
+    assert err.startswith(f"error: {what} has more than {DIGIT_LIMIT} digits, "
+                          "got '999") and len(err) < 200
 
 
 def test_a_key_error_is_an_internal_failure(capsys, monkeypatch):

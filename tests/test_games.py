@@ -535,6 +535,15 @@ def test_tv_distance_basics():
     assert tv_distance({1: 1}, {2: 7}) == 1.0
 
 
+@pytest.mark.parametrize("fit", (lambda c: tv_distance(c, {1: 1}),
+                                 lambda c: chi_square(TrialHistogram("alpha", 4, 1, 0, {1: 1}), c)),
+                         ids=("tv_distance", "chi_square"))
+def test_fit_statistics_refuse_negative_counts(fit):
+    # tv_distance({1: -1, 2: 2}, {1: 1}) was 2.0, past the most a TV distance can be
+    with pytest.raises(ValueError, match="^counts must be >= 0, got -1 for value 1$"):
+        fit({1: -1, 2: 2})
+
+
 def test_tv_accepts_histograms():
     h = TrialHistogram(parameter="alpha", n=4, trials=4, seed=0, counts={2: 3, 3: 1})
     assert tv_distance(h, {2: 3, 3: 1}) == 0.0

@@ -12,7 +12,8 @@ callback and no closure.  The strategic set and the path cover both read the
 one link pass, trees._links, and run_trials builds each trial's generator
 through RandomSource.trial_rng.
 A tree is one label-indexed parent tuple, built in three places, with no
-second form to adapt it back to.
+second form to adapt it back to.  Each command of the command line returns
+its output, and run alone writes it to stdout.
 """
 
 import ast
@@ -188,3 +189,24 @@ def test_trees_are_built_in_three_places():
                         getattr(node.func, "id", None), getattr(node.func, "attr", None)):
                     where.add(f"{path.stem}.{getattr(top, 'name', top.lineno)}")
     assert where == {"trees._tree", "codec.slither_decode", "codec.prufer_encode"}, where
+
+
+def test_the_cli_has_one_output_path():
+    # run writes what each command returns through _write_out, which takes a partial raw
+    # write and a closed pipe; a print or a second writer would bypass both
+    tree = parse(PACKAGE / "cli.py")
+    functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert not {"emit_json", "_emit_table"} & (names | {f.name for f in functions})
+    prints = [node.lineno for node in ast.walk(tree)
+              if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "print"
+              and not any(kw.arg == "file" and ast.unparse(kw.value) == "sys.stderr"
+                          for kw in node.keywords)]
+    assert not prints, f"cli.py prints to stdout on lines {prints}"
+    writers = {f.name for f in functions for node in ast.walk(f)
+               if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_write_out"}
+    assert writers == {"run"}, f"_write_out is called from {sorted(writers)}"
+    zeros = [f.name for f in functions if f.name.startswith("cmd_") for node in ast.walk(f)
+             if isinstance(node, ast.Return) and isinstance(node.value, ast.Constant)
+             and node.value.value == 0]
+    assert not zeros, f"commands return a status of 0 themselves: {zeros}"

@@ -7,6 +7,7 @@ deep inside with a TypeError.
 """
 
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from slithercode import (
     NORMAL,
     CodeError,
     Deck,
+    RandomSource,
     SlitherCode,
     TrialHistogram,
     Variant,
@@ -30,12 +32,16 @@ from slithercode import (
     full_binary_table,
     full_binary_trial,
     independence_table,
+    max_capacity_edges,
     plane_trial,
     prufer_encode,
+    read_capacity_edges,
     run_trials,
     sample_uniform_labelled_tree,
     sample_uniform_rooted_tree,
+    slither_decode,
     stirling2,
+    strategic_set,
     validate_tree,
 )
 from slithercode.counting import all_codes
@@ -132,9 +138,56 @@ def test_an_integer_argument_in_text_is_the_integer(what, call):
     assert call("3") == call(np.int64(3)) == call(3)
 
 
+@pytest.mark.parametrize("bad", (True, 1.0, "x"), ids=("bool", "float", "str"))
+def test_a_trial_index_is_read_strictly(bad):
+    # True gave trial 1's generator, 1.0 an IndexError from numpy and "x" a TypeError
+    message = f"^trial index must be an integer, got {re.escape(repr(bad))}$"
+    with pytest.raises(ValueError, match=message):
+        RandomSource(5).trial_rng(bad)
+
+
+def test_a_trial_index_in_text_is_the_integer():
+    states = [RandomSource(5).trial_rng(i).bit_generator.state for i in ("1", np.int64(1), 1)]
+    assert states[0] == states[1] == states[2]
+
+
 @pytest.mark.parametrize("trial", (dice_trial, full_binary_trial, binary_lr_trial, plane_trial),
                          ids=lambda trial: trial.__name__)
 def test_a_trial_reads_its_size_once(trial):
     # the deal and the coupon read both see the size as the size rule reads it
     values = [trial(size, np.random.default_rng(7)) for size in (3, "3", np.int64(3))]
     assert values[0] == values[1] == values[2]
+
+
+# a capacity-3 code whose tree has vertices of 3 and more P-children
+CAPACITY_CODE = SlitherCode(12, Variant(3), (12, 12, 12, 12, 3, 3, 3, 12, 5, 5, 12))
+
+
+@pytest.mark.parametrize("read", (
+    lambda b: max_capacity_edges(slither_decode(CAPACITY_CODE), b),
+    lambda b: strategic_set(slither_decode(CAPACITY_CODE), b),
+    lambda b: read_capacity_edges(CAPACITY_CODE, b),
+), ids=("max_capacity_edges", "strategic_set", "read_capacity_edges"))
+def test_a_capacity_is_read_once(read):
+    # strategic_set and read_capacity_edges compared the raw "3" with ints: a TypeError
+    assert read("3") == read(np.int64(3)) == read(3)
+
+
+# 0 where int() reads text of any length: before Python 3.10.7, or with the limit off
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+TOO_LONG = "9" * (DIGIT_LIMIT + 1)
+
+
+@pytest.mark.skipif(not DIGIT_LIMIT, reason="int() reads integer text of any length")
+@pytest.mark.parametrize("call, error, what", (
+    (lambda: Variant(TOO_LONG), ValueError, "capacity"),
+    (lambda: Variant.parse("b=" + TOO_LONG), ValueError, "capacity"),
+    (lambda: SlitherCode(3, NORMAL, ["1", TOO_LONG]), CodeError, "symbol at index 1"),
+    (lambda: SlitherCode(3, NORMAL, [1, TOO_LONG]), CodeError, "symbol at index 1"),
+), ids=("Variant", "Variant.parse", "digit-strings", "mixed"))
+def test_integer_text_past_the_digit_limit_is_named(call, error, what):
+    # int() raised "Exceeds the limit (4300 digits) for integer string conversion ..."
+    message = (f"^{what} has more than {DIGIT_LIMIT} digits, "
+               f"got '9{{39}}\\.\\.\\.9{{36}}'$")
+    with pytest.raises(error, match=message):
+        call()
