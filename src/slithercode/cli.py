@@ -503,8 +503,8 @@ def run(argv=None) -> int:
     try:
         while True:
             _write_out(next(pieces))
+            sys.stdout.flush()  # each piece reaches a pipe as written; a closed one fails here
     except StopIteration as stop:  # a generator's value is its exit status
-        sys.stdout.flush()  # a closed pipe fails here, not at exit
         return stop.value or 0
 
 

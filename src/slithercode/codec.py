@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .trees import (COMPLY, NORMAL, RootedTree, Variant, _check_positive, _check_variant, _echo,
-                    _prune, _strict_int, _strict_ints)
+                    _pairs, _prune, _sequence, _strict_int, _strict_ints)
 
 
 class CodeError(ValueError):
@@ -49,24 +49,14 @@ class SlitherCode:
     def __post_init__(self):
         object.__setattr__(self, "n", _check_positive(self.n, "n", CodeError))
         _check_variant(self.variant, CodeError)
-        try:
-            sym = tuple(_strict_ints(_symbols(self.symbols), "symbol"))
-        except ValueError as exc:
-            raise CodeError(str(exc)) from None
+        sym = _sequence(self.symbols, "symbols", CodeError)
+        sym = tuple(_strict_ints(sym, "symbol", CodeError))
         object.__setattr__(self, "symbols", sym)
         if len(sym) != self.n - 1:
             raise CodeError(f"expected {self.n - 1} symbols for n={self.n}, got {len(sym)}")
         if sym and (min(sym) < 1 or max(sym) > self.n):
             s = next(s for s in sym if not 1 <= s <= self.n)
             raise CodeError(f"symbol {s} out of range 1..{self.n}")
-
-
-def _symbols(values) -> tuple:
-    """tuple(values); CodeError, naming them, when they are not a sequence."""
-    try:
-        return tuple(values)
-    except TypeError:
-        raise CodeError(f"symbols must be a sequence, got {_echo(values)}") from None
 
 
 def slither_encode(tree: RootedTree, variant: Variant = NORMAL):
@@ -103,7 +93,7 @@ def slither_decode(code: SlitherCode) -> RootedTree:
 
 def decode_sequence(symbols, n: int | None = None, variant: Variant = NORMAL) -> RootedTree:
     """Decode a bare symbol sequence; n defaults to len(symbols) + 1."""
-    sym = _symbols(symbols)
+    sym = _sequence(symbols, "symbols", CodeError)
     if n is None:
         n = len(sym) + 1
     return slither_decode(SlitherCode(n=n, variant=variant, symbols=sym))
@@ -113,7 +103,7 @@ def decode_sequence(symbols, n: int | None = None, variant: Variant = NORMAL) ->
 
 
 def prefix_alpha(symbols, n: int) -> int:
-    """Smallest a >= 1 with distinct(symbols[:a]) >= n - a; 1 if n <= 1.
+    """Smallest a >= 1 with distinct(symbols[:a]) >= n - a; 1 if n is 1, and n < 1 raises.
 
     This is both the independence-number read on a normal code and the
     stopping rule of the family card games, which share this implementation
@@ -124,6 +114,7 @@ def prefix_alpha(symbols, n: int) -> int:
     threshold is met.
     """
     if n <= 1:
+        _check_positive(n, "n")
         return 1
     if (isinstance(symbols, np.ndarray) and symbols.shape[0] >= 64
             and symbols.dtype.kind in "iu" and 0 <= symbols.min() and symbols.max() <= n):
@@ -256,9 +247,9 @@ def read_capacity_edges(code: SlitherCode, b: int):
 def prufer_encode(n: int, edges) -> tuple[int, ...]:
     """Classical Prufer sequence of a labelled unrooted tree, length n-2."""
     n = _check_positive(n, "n", CodeError)
+    us, vs = _pairs(_sequence(edges, "edges", CodeError), "edge", "(u, v)", CodeError)
     adj: list[list[int]] = [[] for _ in range(n + 1)]
-    count = 0
-    for u, v in edges:
+    for u, v in zip(us, vs):
         try:
             u, v = _strict_int(u), _strict_int(v)
         except ValueError:
@@ -267,9 +258,8 @@ def prufer_encode(n: int, edges) -> tuple[int, ...]:
             raise CodeError(f"bad edge ({u}, {v}) for n={n}")
         adj[u].append(v)
         adj[v].append(u)
-        count += 1
-    if count != n - 1:
-        raise CodeError(f"expected {n - 1} edges, got {count}")
+    if len(us) != n - 1:
+        raise CodeError(f"expected {n - 1} edges, got {len(us)}")
     parent, stack = [0] * (n + 1), [n]
     while stack:
         u = stack.pop()
@@ -288,7 +278,7 @@ def prufer_decode(symbols) -> list[tuple[int, int]]:
 
     Returns the edge list sorted with each edge as (min, max).
     """
-    sym = _symbols(symbols)
+    sym = _sequence(symbols, "symbols", CodeError)
     n = len(sym) + 2
     tree = slither_decode(SlitherCode(n=n, variant=Variant(n), symbols=sym + (n,)))
     return sorted((min(c, p), max(c, p)) for c, p in tree.edges())

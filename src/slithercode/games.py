@@ -32,7 +32,7 @@ from fractions import Fraction
 import numpy as np
 
 from .codec import decode_sequence, prefix_alpha, prufer_decode
-from .trees import NORMAL, RootedTree, Variant, _check_positive, _echo, _strict_int
+from .trees import NORMAL, RootedTree, Variant, _check_positive, _echo, _sequence, _strict_int
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15  # splitmix64's increment
@@ -108,6 +108,16 @@ def _seed_words(words: np.ndarray):
     return _seed_words_type()(words)
 
 
+def _word64(value, what: str) -> int:
+    """value as _strict_int reads it; ValueError unless it is in 0..2^64-1, since splitmix64
+    reads a seed or trial index mod 2^64 and one outside the range would repeat one inside."""
+    if type(value) is not int:  # one call per trial: the index is an int
+        value = _strict_int(value, what)
+    if not 0 <= value <= _MASK64:
+        raise ValueError(f"{what} must be in 0..2^64-1, got {value}")
+    return value
+
+
 @dataclass(frozen=True)
 class RandomSource:
     """Master seed, 0 <= seed < 2^64, from which independent per-trial generators are derived."""
@@ -115,10 +125,7 @@ class RandomSource:
     seed: int
 
     def __post_init__(self):
-        object.__setattr__(self, "seed", _strict_int(self.seed, "seed"))
-        # splitmix64 reads the seed mod 2^64, so a seed outside the range would repeat one inside
-        if not 0 <= self.seed <= _MASK64:
-            raise ValueError(f"seed must be in 0..2^64-1, got {self.seed}")
+        object.__setattr__(self, "seed", _word64(self.seed, "seed"))
 
     def trial_rng(self, index: int) -> np.random.Generator:
         """Trial index's generator: draws as np.random.PCG64(splitmix64(seed, index)) does.
@@ -130,10 +137,7 @@ class RandomSource:
         spawns.  The index is read as _strict_int reads it, and one outside
         0..2^64-1 raises ValueError, as splitmix64 would read it mod 2^64.
         """
-        index = _strict_int(index, "trial index")
-        if not 0 <= index <= _MASK64:
-            raise ValueError(f"trial index must be in 0..2^64-1, got {index}")
-        block, row = divmod(index, _BLOCK)
+        block, row = divmod(_word64(index, "trial index"), _BLOCK)
         words = _block_words(self.seed, block)[row]
         return np.random.Generator(np.random.PCG64(_seed_words(words)))
 
@@ -178,11 +182,8 @@ class Deck:
 
     def __post_init__(self):
         object.__setattr__(self, "n", _check_positive(self.n, "n"))
-        try:
-            mult = tuple(_strict_int(m, "multiplicity") for m in self.multiplicities)
-        except TypeError:
-            raise ValueError("multiplicities must be a sequence, "
-                             f"got {_echo(self.multiplicities)}") from None
+        mult = tuple(_strict_int(m, "multiplicity")
+                     for m in _sequence(self.multiplicities, "multiplicities"))
         object.__setattr__(self, "multiplicities", mult)
         if len(mult) != self.n:
             raise ValueError(f"need one multiplicity per card 1..{self.n}, got {len(mult)}")

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import re
 import sys
+from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import islice
 
@@ -61,12 +62,11 @@ def _echo(value) -> str:
 _INT_TEXT = re.compile(r"[+-]?[0-9]+")
 
 
-def _strict_int(value, what: str = "value") -> int:
+def _strict_int(value, what: str = "value", error: type[ValueError] = ValueError) -> int:
     """int(value) for ints, numpy integers and strings matching _INT_TEXT only.
 
     Outside input goes through here instead of int(), which truncates 1.9
-    to 1, reads True as 1 and " 1_0" as 10.  Raises ValueError for anything
-    else.
+    to 1, reads True as 1 and " 1_0" as 10.  Raises error for anything else.
     """
     # exact int first: this runs once per label or symbol
     if type(value) is int:
@@ -76,24 +76,29 @@ def _strict_int(value, what: str = "value") -> int:
             try:
                 return int(value)
             except ValueError:  # past int()'s digit limit
-                raise _too_long(what, value) from None
+                raise _too_long(what, value, error) from None
     elif isinstance(value, (int, np.integer)) and not isinstance(value, bool):
         return int(value)
-    raise ValueError(f"{what} must be an integer, got {_echo(value)}")
+    raise error(f"{what} must be an integer, got {_echo(value)}")
 
 
-def _too_long(what: str, text: str) -> ValueError:
+def _too_long(what: str, text: str, error: type[ValueError] = ValueError) -> ValueError:
     """The error for integer text longer than int() reads, sys.get_int_max_str_digits()."""
-    return ValueError(f"{what} has more than {sys.get_int_max_str_digits()} digits, "
-                      f"got {_echo(text)}")
+    return error(f"{what} has more than {sys.get_int_max_str_digits()} digits, "
+                 f"got {_echo(text)}")
+
+
+def _refused(value, what: str, error: type[ValueError], message: str) -> ValueError:
+    """The error for a value _strict_int refused: _too_long's, naming what, for integer
+    text, which it refuses only past int()'s digit limit; error(message) for the rest."""
+    if isinstance(value, str) and _INT_TEXT.fullmatch(value):
+        return _too_long(what, value, error)
+    return error(message)
 
 
 def _check_positive(value, what: str, error: type[ValueError] = ValueError) -> int:
     """value as _strict_int reads it, the one rule for every size; raise error unless it is >= 1."""
-    try:
-        value = _strict_int(value, what)
-    except ValueError as exc:
-        raise error(str(exc)) from None
+    value = _strict_int(value, what, error)
     if value < 1:
         raise error(f"{what} must be >= 1, got {value}")
     return value
@@ -185,13 +190,13 @@ class RootedTree:
         return [(c, p) for c, p in enumerate(self.parent) if p]
 
 
-def _strict_ints(values, what: str):
+def _strict_ints(values, what: str, error: type[ValueError] = ValueError):
     """The values as ints, read once, each as _strict_int reads it.
 
     All ints come back as they are.  Strings that are all unsigned are
     checked at once, over their joined text, and read by int(); any other
     values are read by _strict_int.  Either way one walk reads them, and its
-    ValueError names the first value it could not read and its index.
+    error names the first value it could not read and its index.
     """
     kinds = set(map(type, values))
     if kinds == {int}:
@@ -203,10 +208,32 @@ def _strict_ints(values, what: str):
         out.extend(map(int if digits else _strict_int, values))
     except ValueError:
         i = len(out)
-        if isinstance(values[i], str) and _INT_TEXT.fullmatch(values[i]):
-            raise _too_long(f"{what} at index {i}", values[i]) from None
-        raise ValueError(f"non-integer {what} {_echo(values[i])} at index {i}") from None
+        raise _refused(values[i], f"{what} at index {i}", error,
+                       f"non-integer {what} {_echo(values[i])} at index {i}") from None
     return out
+
+
+def _sequence(values, what: str, error: type[ValueError] = ValueError) -> tuple:
+    """tuple(values), the one reader of a sequence; raise error naming values unless they are
+    iterable, or if a str, bytes, map or set: tuple() reads characters, keys or hash order."""
+    if type(values) is tuple:
+        return values
+    if not isinstance(values, (str, bytes, bytearray, Mapping, set, frozenset)):
+        try:
+            return tuple(values)
+        except TypeError:  # not iterable
+            pass
+    raise error(f"{what} must be a sequence, got {_echo(values)}")
+
+
+def _pairs(entries, what: str, pair: str, error: type[ValueError] = ValueError):
+    """The two columns of entries, a sequence of 2-element lists, tuples or 1-D arrays; raise
+    error naming the first entry that is not one, as what, and its index."""
+    for i, e in enumerate(entries):
+        if not (isinstance(e, (list, tuple)) and len(e) == 2
+                or isinstance(e, np.ndarray) and e.shape == (2,)):
+            raise error(f"{what} {_echo(e)} at index {i} is not a {pair} pair")
+    return [e[0] for e in entries], [e[1] for e in entries]
 
 
 def _bulk_ints(text: str, pairs: bool = False):
@@ -252,11 +279,9 @@ def validate_tree(data) -> RootedTree:
     if not isinstance(data, dict):
         raise TreeError(f"cannot interpret {type(data).__name__} as a rooted tree")
 
-    try:
-        n = _strict_int(data["n"])
-    except (KeyError, ValueError):
-        raise TreeError("missing or non-integer vertex count n") from None
-    n = _check_positive(n, "n", TreeError)
+    if "n" not in data:
+        raise TreeError("missing vertex count n")
+    n = _check_positive(data["n"], "n", TreeError)
 
     raw = data.get("parent", {})
     if isinstance(raw, dict):
@@ -266,17 +291,11 @@ def validate_tree(data) -> RootedTree:
         kids, pars = raw[:, 0], raw[:, 1]
     else:
         try:
-            entries = iter(raw)
+            entries = tuple(raw)
         except TypeError:
             raise TreeError("parent must be a map or a list of (child, parent) pairs, "
                             f"got {_echo(raw)}") from None
-        kids, pars, pair = [], [], (list, tuple)
-        for e in entries:
-            if not isinstance(e, pair) or len(e) != 2:
-                raise TreeError(f"parent entry {_echo(e)} at index {len(kids)} "
-                                "is not a (child, parent) pair")
-            kids.append(e[0])
-            pars.append(e[1])
+        kids, pars = _pairs(entries, "parent entry", "(child, parent)", TreeError)
 
     return _tree(n, kids, pars, data.get("root"))
 
@@ -302,7 +321,8 @@ def _tree(n: int, kids, pars, declared) -> RootedTree:
         try:
             declared = _strict_int(declared)
         except ValueError:
-            raise TreeError(f"non-integer declared root {_echo(declared)}") from None
+            raise _refused(declared, "declared root", TreeError,
+                           f"non-integer declared root {_echo(declared)}") from None
         if declared != root:
             raise TreeError(f"declared root {declared} but vertex {root} has no parent")
 
@@ -353,12 +373,15 @@ def _entries(n: int, kids, pars):
 def _entry_by_entry(n: int, kids, pars) -> tuple[list[int], list[int]]:
     """The entries as ints, walked in order; raise TreeError naming the first bad one."""
     checked: dict[int, int] = {}
-    for c, p in zip(kids, pars):
+    for i, entry in enumerate(zip(kids, pars)):
+        c, p = entry
         try:
-            c, p = _strict_int(c), _strict_int(p)
-        except ValueError:
-            raise TreeError("non-integer labels in parent entry "
-                            f"({_echo(c)}, {_echo(p)})") from None
+            c = _strict_int(c)
+            p = _strict_int(p)
+        except ValueError:  # c is an exact int here only if it was read, and p was not
+            raise _refused(entry[type(c) is int], f"label in parent entry at index {i}",
+                           TreeError, "non-integer labels in parent entry "
+                           f"({_echo(entry[0])}, {_echo(entry[1])})") from None
         if not (1 <= c <= n) or not (1 <= p <= n):
             raise TreeError(f"label out of range 1..{n} in parent entry ({c}, {p})")
         if c in checked:

@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import select
 import subprocess
 import sys
 import threading
@@ -289,6 +290,35 @@ def test_seed_at_either_end_of_64_bits_runs(capsys, seed):
         assert (rc, err) == (0, "") and out
 
 
+def test_each_piece_reaches_a_pipe_as_it_is_written():
+    # run flushed stdout once, at the end, so piped verify --level full gave its first line
+    # when its last check was done; PYTHONUNBUFFERED would hide that, so the child runs without
+    held = ("import sys\n"
+            "from slithercode import cli\n"
+            "def held(args):\n"
+            "    yield 'PASS first: 1\\n'\n"
+            "    sys.stdin.readline()  # held here until the test has read the first line\n"
+            "    yield '1/1 checks passed\\n'\n"
+            "cli.cmd_verify = held\n"
+            "sys.exit(cli.main(['verify']))\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    proc = subprocess.Popen([sys.executable, "-c", held], stdin=subprocess.PIPE,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    try:
+        ready = select.select([proc.stdout], [], [], 20)[0]
+        assert ready, "the first line had not reached the pipe while the command ran"
+        assert proc.stdout.readline() == b"PASS first: 1\n"
+    finally:
+        proc.stdin.write(b"\n")
+        proc.stdin.close()
+        rest, err = proc.stdout.read(), proc.stderr.read()
+        proc.stdout.close()
+        proc.stderr.close()
+    assert (proc.wait(timeout=60), rest, err) == (0, b"1/1 checks passed\n", b"")
+
+
 @pytest.mark.parametrize("unbuffered", ("", "1"), ids=("buffered", "unbuffered"))
 def test_closed_stdout_exits_141_quietly(unbuffered):
     # Each output runs past the pipe's buffer, so the reader closes before the end: enumerate
@@ -516,7 +546,7 @@ def test_a_huge_bad_value_gives_a_short_error(capsys, argv):
         (("decode", "--variant", "normal", '{"symbols": [1, "\u0663"]}'),
          "non-integer symbol '\u0663' at index 1"),
         (("params", '{"n": " 3", "parent": {"2": 1, "3": 1}}'),
-         "missing or non-integer vertex count n"),
+         "n must be an integer, got ' 3'"),
         (("decode", "--variant", "normal", '{"n": "3 ", "symbols": [1, 1]}'),
          "n must be an integer, got '3 '"),
         (("decode", "--variant", "normal", "1 -3 2"), "symbol -3 out of range 1..4"),

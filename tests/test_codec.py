@@ -115,6 +115,53 @@ def test_decoding_a_non_sequence_names_it(decode):
         decode(5)
 
 
+# tuple() splits a str or bytes into characters, reads a map by its keys and a set in hash
+# order, so decode_sequence("312") decoded the code (3, 1, 2) and a set was silently sorted
+NOT_SEQUENCES = ("312", b"312", {3: 1, 1: 1, 2: 1}, {3, 1, 2}, 5)
+SEQUENCE_READERS = {
+    "SlitherCode": lambda symbols: SlitherCode(n=4, variant=NORMAL, symbols=symbols),
+    "decode_sequence": decode_sequence,
+    "prufer_decode": prufer_decode,
+}
+
+
+@pytest.mark.parametrize("read", SEQUENCE_READERS.values(), ids=SEQUENCE_READERS)
+@pytest.mark.parametrize("symbols", NOT_SEQUENCES, ids=("str", "bytes", "dict", "set", "int"))
+def test_symbols_that_are_not_a_sequence_are_refused(read, symbols):
+    shown = re.escape(repr(symbols))
+    with pytest.raises(CodeError, match=f"^symbols must be a sequence, got {shown}$"):
+        read(symbols)
+
+
+@pytest.mark.parametrize("symbols", ((1, 2, 3), [1, 2, 3], np.array([1, 2, 3]), range(1, 4),
+                                     iter([1, 2, 3])),
+                         ids=("tuple", "list", "array", "range", "iterator"))
+def test_every_sequence_form_reads_the_same_code(symbols):
+    code = SlitherCode(n=4, variant=NORMAL, symbols=symbols)
+    assert code.symbols == (1, 2, 3) and type(code.symbols[0]) is int
+
+
+@pytest.mark.parametrize("edges, shown", (
+    (5, "^edges must be a sequence, got 5$"),
+    ({1: 2, 2: 3}, r"^edges must be a sequence, got \{1: 2, 2: 3\}$"),
+    ({(1, 2), (2, 3)}, r"^edges must be a sequence, got \{\("),
+    (["12", "23"], r"^edge '12' at index 0 is not a \(u, v\) pair$"),
+    ([(1, 2), (1, 2, 3)], r"^edge \(1, 2, 3\) at index 1 is not a \(u, v\) pair$"),
+), ids=("int", "dict", "set", "str-edge", "triple"))
+def test_prufer_encode_refuses_edges_that_are_not_pairs(edges, shown):
+    # the bare "for u, v in edges" read "12" as the edge (1, 2) and leaked a TypeError
+    # for an int or a map
+    with pytest.raises(CodeError, match=shown):
+        prufer_encode(3, edges)
+
+
+@pytest.mark.parametrize("edges", ([(1, 2), (2, 3)], ([1, 2], [2, 3]), iter([(1, 2), (2, 3)]),
+                                   np.array([[1, 2], [2, 3]]), {1: 2, 2: 3}.items()),
+                         ids=("list", "tuple-of-lists", "iterator", "array", "items"))
+def test_prufer_encode_reads_every_sequence_of_pairs(edges):
+    assert prufer_encode(3, edges) == (2,)
+
+
 @pytest.mark.parametrize("n, shown", ((True, "True"), (3.0, "3.0"), (None, "None"), ("x", "'x'")))
 def test_code_reads_n_strictly(n, shown):
     with pytest.raises(CodeError, match=f"^n must be an integer, got {re.escape(shown)}$"):

@@ -130,6 +130,15 @@ def test_trial_generators_draw_independently(j):
     assert (np.concatenate([head, tail]) == whole).all()
 
 
+def test_the_64_bit_range_is_named_in_full():
+    with pytest.raises(ValueError) as err:
+        RandomSource(-5)
+    assert str(err.value) == "seed must be in 0..2^64-1, got -5"
+    with pytest.raises(ValueError) as err:
+        RandomSource(5).trial_rng(2**64)
+    assert str(err.value) == f"trial index must be in 0..2^64-1, got {2**64}"
+
+
 @pytest.mark.parametrize("index", (-1, 2**64, -(2**64)))
 def test_trial_index_outside_64_bits_is_refused(index):
     # splitmix64 reads the index mod 2^64, so -1 would repeat 2^64 - 1
@@ -203,6 +212,19 @@ def test_coupon_read_is_prefix_alpha(seq):
     assert coupon_read(seq, 9) == prefix_alpha(seq, 9)
 
 
+@pytest.mark.parametrize("symbols, n, message", (
+    ([1, 2], 0, "^n must be >= 1, got 0$"),
+    ([1, 2], -4, "^n must be >= 1, got -4$"),
+    ((), True, "^n must be an integer, got True$"),
+))
+def test_the_coupon_read_refuses_n_below_1(symbols, n, message):
+    # each of these read 1, as n = 1 does
+    for read in (prefix_alpha, coupon_read):
+        with pytest.raises(ValueError, match=message):
+            read(symbols, n)
+    assert prefix_alpha((), 1) == coupon_read((), 1) == 1
+
+
 def test_single_symbol_deck_always_reads_three():
     d = Deck(n=4, multiplicities=(3, 0, 0, 0))
     rng = np.random.default_rng(0)
@@ -232,6 +254,9 @@ def test_deck_for_tree_matches_out_degrees(fig1):
         (3, (1.9, 1.2, 0), "multiplicity must be an integer"),
         (3, (True, 1, 0), "multiplicity must be an integer"),
         (2, 5, "^multiplicities must be a sequence, got 5$"),
+        # a str was read as its characters and a set in hash order
+        (3, "110", "^multiplicities must be a sequence, got '110'$"),
+        (3, {1, 0}, r"^multiplicities must be a sequence, got \{0, 1\}$"),
     ),
 )
 def test_deck_rejects(n, mult, fragment):

@@ -13,7 +13,9 @@ one link pass, trees._links, and run_trials builds each trial's generator
 through RandomSource.trial_rng.
 A tree is one label-indexed parent tuple, built in three places, with no
 second form to adapt it back to.  Each command of the command line returns
-its output, and run alone writes it to stdout.
+its output, and run alone writes it to stdout.  A sequence of values and a
+sequence of pairs each have one reader, which raises the caller's error
+class, so no entry point catches a strict read to raise it again.
 """
 
 import ast
@@ -23,7 +25,7 @@ from pathlib import Path
 import pytest
 
 import slithercode
-from slithercode import games
+from slithercode import codec, games
 
 PACKAGE = Path(slithercode.__file__).resolve().parent
 MODULES = sorted(PACKAGE.glob("*.py"))
@@ -210,3 +212,36 @@ def test_the_cli_has_one_output_path():
              if isinstance(node, ast.Return) and isinstance(node.value, ast.Constant)
              and node.value.value == 0]
     assert not zeros, f"commands return a status of 0 themselves: {zeros}"
+
+
+def test_a_sequence_has_one_reader():
+    # the message of trees._sequence; codec._symbols and Deck each had a copy
+    found = lines_with("must be a sequence")
+    assert len(found) == 1, f"'must be a sequence' should occur once in the package: {found}"
+    assert not hasattr(codec, "_symbols")
+
+
+def test_a_sequence_of_pairs_has_one_reader():
+    # the message of trees._pairs, which validate_tree and prufer_encode go through
+    pair = re.compile(r"is not a .*pair")
+    found = [(path.name, i) for path in MODULES
+             for i, line in enumerate(path.read_text().splitlines(), 1) if pair.search(line)]
+    assert len(found) == 1, f"the pair message should occur once in the package: {found}"
+    for path, name in (("trees.py", "validate_tree"), ("codec.py", "prufer_encode")):
+        func = next(node for node in parse(PACKAGE / path).body
+                    if isinstance(node, ast.FunctionDef) and node.name == name)
+        called = {getattr(node.func, "id", None) for node in ast.walk(func)
+                  if isinstance(node, ast.Call)}
+        assert "_pairs" in called, f"{name} reads its pairs itself"
+
+
+@pytest.mark.parametrize("name", ("trees.py", "codec.py", "games.py"))
+def test_no_strict_read_is_raised_again_in_another_class(name):
+    # _strict_int and _strict_ints take the caller's error class, so nothing catches
+    # their ValueError to raise it again as str(exc)
+    rewraps = [node.lineno for handler in ast.walk(parse(PACKAGE / name))
+               if isinstance(handler, ast.ExceptHandler) and handler.name
+               for node in ast.walk(handler) if isinstance(node, ast.Call)
+               and getattr(node.func, "id", None) == "str"
+               and [ast.unparse(arg) for arg in node.args] == [handler.name]]
+    assert not rewraps, f"{name} raises str(exc) again on lines {rewraps}"

@@ -2,6 +2,7 @@
 
 import itertools
 import re
+import sys
 from itertools import islice
 import tracemalloc
 from collections import Counter
@@ -81,11 +82,11 @@ def test_validate_single_vertex():
         ({"n": 3, "root": 2, "parent": {2: 1, 3: 1}}, "declared root"),
         ({"n": 4, "parent": {2: 3, 3: 2, 4: 2}}, "cycle"),
         ({"n": 0, "parent": {}}, "n must be >= 1"),
-        ({"parent": {}}, "missing or non-integer"),
+        ({"parent": {}}, "missing vertex count n"),
         (42, "cannot interpret"),
         ({"n": 3, "parent": {2: 1.9, 3: 1}}, "non-integer labels"),
         ({"n": 3, "parent": {2: True, 3: 1}}, "non-integer labels"),
-        ({"n": 3.0, "parent": {2: 1, 3: 1}}, "non-integer vertex count"),
+        ({"n": 3.0, "parent": {2: 1, 3: 1}}, "n must be an integer, got 3.0"),
         ({"n": 3, "root": 1.0, "parent": {2: 1, 3: 1}}, "non-integer declared root"),
         ({"n": 3, "parent": 5}, "^parent must be a map or a list of .* got 5$"),
         ({"n": 2, "parent": None}, "^parent must be a map or a list of .* got None$"),
@@ -112,6 +113,26 @@ def test_validate_single_vertex():
 )
 def test_validate_rejects(data, fragment):
     with pytest.raises(TreeError, match=fragment):
+        validate_tree(data)
+
+
+# 0 where int() reads text of any length: before Python 3.10.7, or with the limit off
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+TOO_LONG = "9" * (DIGIT_LIMIT + 1)
+
+
+@pytest.mark.skipif(not DIGIT_LIMIT, reason="int() reads integer text of any length")
+@pytest.mark.parametrize("data, what", (
+    ({"n": TOO_LONG, "parent": {}}, "n"),
+    ({"n": 3, "parent": {"2": 1, "3": TOO_LONG}}, "label in parent entry at index 1"),
+    ({"n": 3, "parent": [(TOO_LONG, "x"), (3, 1)]}, "label in parent entry at index 0"),
+    ({"n": 3, "root": TOO_LONG, "parent": {2: 1, 3: 1}}, "declared root"),
+), ids=("n", "parent-label", "child-label", "declared-root"))
+def test_integer_text_past_the_digit_limit_is_named(data, what):
+    # each was called "non-integer", or n "missing or non-integer"
+    message = (f"^{what} has more than {DIGIT_LIMIT} digits, "
+               f"got '9{{39}}\\.\\.\\.9{{36}}'$")
+    with pytest.raises(TreeError, match=message):
         validate_tree(data)
 
 
