@@ -27,7 +27,7 @@ import sys
 from . import asymptotics, codec, counting, games, trees, verify
 from .codec import CodeError, SlitherCode
 from .trees import (NORMAL, TreeError, Variant, _INT_TEXT, _bulk_ints, _check_positive, _cut,
-                    _echo, _strict_int, validate_tree)
+                    _echo, _sequence, _strict_int, validate_tree)
 
 # --- serialization ----------------------------------------------------------
 
@@ -96,9 +96,7 @@ def parse_code(text: str, variant: Variant, n_flag: int | None) -> SlitherCode:
     header_n, header_variant = None, None
     if stripped.startswith("{"):
         d = _load_json(stripped)
-        symbols = d.get("symbols", [])
-        if not isinstance(symbols, list):
-            raise CodeError(f"symbols must be a JSON list, got {_echo(symbols)}")
+        symbols = _sequence(d.get("symbols", []), "symbols", CodeError)
         if "variant" in d:
             if not isinstance(d["variant"], str):
                 raise CodeError(f"variant must be a string, got {_echo(d['variant'])}")
@@ -286,7 +284,6 @@ def cmd_simulate(args):
     _check_bound("--n", args.n, _SAMPLE_MAX_N)
     _check_bound("--trials", args.trials, _TRIALS_MAX)
     resolve_threads(args.threads)
-    seed = resolve_seed(args.seed)
     game = args.game
     if game == "cards":
         if args.deck is None:
@@ -305,7 +302,7 @@ def cmd_simulate(args):
             raise ValueError(f"--n is required for the {game} game")
         n, deal = args.n, games.DEALS[game]
     hist = games.run_trials(lambda rng: games.coupon_read(deal(n, rng), n), args.trials,
-                            seed, n=n, parameter="alpha")
+                            resolve_seed(args.seed), n=n, parameter="alpha")
     if args.format == "json":
         return hist.to_json_dict()
     return f"# game {game}\n" + table_text(hist, ("n", "parameter", "trials", "seed"),

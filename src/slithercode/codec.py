@@ -30,8 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .trees import (COMPLY, NORMAL, RootedTree, Variant, _check_positive, _check_variant, _echo,
-                    _pairs, _prune, _sequence, _strict_int, _strict_ints)
+from .trees import (COMPLY, NORMAL, RootedTree, Variant, _check_positive, _check_variant, _pairs,
+                    _prune, _sequence, _strict_int, _strict_ints)
 
 
 class CodeError(ValueError):
@@ -249,11 +249,9 @@ def prufer_encode(n: int, edges) -> tuple[int, ...]:
     n = _check_positive(n, "n", CodeError)
     us, vs = _pairs(_sequence(edges, "edges", CodeError), "edge", "(u, v)", CodeError)
     adj: list[list[int]] = [[] for _ in range(n + 1)]
-    for u, v in zip(us, vs):
-        try:
-            u, v = _strict_int(u), _strict_int(v)
-        except ValueError:
-            raise CodeError(f"non-integer edge ({_echo(u)}, {_echo(v)})") from None
+    for i, (u, v) in enumerate(zip(us, vs)):
+        what = f"end of edge at index {i}"
+        u, v = _strict_int(u, what, CodeError), _strict_int(v, what, CodeError)
         if not (1 <= u <= n and 1 <= v <= n) or u == v:
             raise CodeError(f"bad edge ({u}, {v}) for n={n}")
         adj[u].append(v)

@@ -32,7 +32,8 @@ from fractions import Fraction
 import numpy as np
 
 from .codec import decode_sequence, prefix_alpha, prufer_decode
-from .trees import NORMAL, RootedTree, Variant, _check_positive, _echo, _sequence, _strict_int
+from .trees import (NORMAL, RootedTree, Variant, _check_positive, _echo, _sequence, _strict_int,
+                    _strict_ints)
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15  # splitmix64's increment
@@ -182,8 +183,7 @@ class Deck:
 
     def __post_init__(self):
         object.__setattr__(self, "n", _check_positive(self.n, "n"))
-        mult = tuple(_strict_int(m, "multiplicity")
-                     for m in _sequence(self.multiplicities, "multiplicities"))
+        mult = tuple(_strict_ints(_sequence(self.multiplicities, "multiplicities"), "multiplicity"))
         object.__setattr__(self, "multiplicities", mult)
         if len(mult) != self.n:
             raise ValueError(f"need one multiplicity per card 1..{self.n}, got {len(mult)}")

@@ -88,14 +88,6 @@ def _too_long(what: str, text: str, error: type[ValueError] = ValueError) -> Val
                  f"got {_echo(text)}")
 
 
-def _refused(value, what: str, error: type[ValueError], message: str) -> ValueError:
-    """The error for a value _strict_int refused: _too_long's, naming what, for integer
-    text, which it refuses only past int()'s digit limit; error(message) for the rest."""
-    if isinstance(value, str) and _INT_TEXT.fullmatch(value):
-        return _too_long(what, value, error)
-    return error(message)
-
-
 def _check_positive(value, what: str, error: type[ValueError] = ValueError) -> int:
     """value as _strict_int reads it, the one rule for every size; raise error unless it is >= 1."""
     value = _strict_int(value, what, error)
@@ -195,8 +187,9 @@ def _strict_ints(values, what: str, error: type[ValueError] = ValueError):
 
     All ints come back as they are.  Strings that are all unsigned are
     checked at once, over their joined text, and read by int(); any other
-    values are read by _strict_int.  Either way one walk reads them, and its
-    error names the first value it could not read and its index.
+    values are read by _strict_int.  Either way one walk reads them, and the
+    first value it could not read is read again by _strict_int, whose error
+    names it and its index.
     """
     kinds = set(map(type, values))
     if kinds == {int}:
@@ -206,11 +199,10 @@ def _strict_ints(values, what: str, error: type[ValueError] = ValueError):
     out: list[int] = []
     try:  # extend keeps what it read before a failure, so len(out) is the index
         out.extend(map(int if digits else _strict_int, values))
+        return out
     except ValueError:
         i = len(out)
-        raise _refused(values[i], f"{what} at index {i}", error,
-                       f"non-integer {what} {_echo(values[i])} at index {i}") from None
-    return out
+    _strict_int(values[i], f"{what} at index {i}", error)  # raises, naming the index
 
 
 def _sequence(values, what: str, error: type[ValueError] = ValueError) -> tuple:
@@ -220,9 +212,11 @@ def _sequence(values, what: str, error: type[ValueError] = ValueError) -> tuple:
         return values
     if not isinstance(values, (str, bytes, bytearray, Mapping, set, frozenset)):
         try:
-            return tuple(values)
+            it = iter(values)
         except TypeError:  # not iterable
             pass
+        else:  # outside the try, so a TypeError raised while reading values is their own
+            return tuple(it)
     raise error(f"{what} must be a sequence, got {_echo(values)}")
 
 
@@ -318,11 +312,7 @@ def _tree(n: int, kids, pars, declared) -> RootedTree:
     root = n * (n + 1) // 2 - int(c.sum())  # the one label that is not a child
 
     if declared is not None:
-        try:
-            declared = _strict_int(declared)
-        except ValueError:
-            raise _refused(declared, "declared root", TreeError,
-                           f"non-integer declared root {_echo(declared)}") from None
+        declared = _strict_int(declared, "declared root", TreeError)
         if declared != root:
             raise TreeError(f"declared root {declared} but vertex {root} has no parent")
 
@@ -373,15 +363,9 @@ def _entries(n: int, kids, pars):
 def _entry_by_entry(n: int, kids, pars) -> tuple[list[int], list[int]]:
     """The entries as ints, walked in order; raise TreeError naming the first bad one."""
     checked: dict[int, int] = {}
-    for i, entry in enumerate(zip(kids, pars)):
-        c, p = entry
-        try:
-            c = _strict_int(c)
-            p = _strict_int(p)
-        except ValueError:  # c is an exact int here only if it was read, and p was not
-            raise _refused(entry[type(c) is int], f"label in parent entry at index {i}",
-                           TreeError, "non-integer labels in parent entry "
-                           f"({_echo(entry[0])}, {_echo(entry[1])})") from None
+    for i, (c, p) in enumerate(zip(kids, pars)):
+        what = f"label in parent entry at index {i}"
+        c, p = _strict_int(c, what, TreeError), _strict_int(p, what, TreeError)
         if not (1 <= c <= n) or not (1 <= p <= n):
             raise TreeError(f"label out of range 1..{n} in parent entry ({c}, {p})")
         if c in checked:

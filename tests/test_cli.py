@@ -229,6 +229,18 @@ def test_simulate_rejects(capsys, argv, fragment):
     assert rc == 2 and fragment in err
 
 
+@pytest.mark.parametrize("argv, message", (
+    (("--game", "dice"), "--n is required for the dice game"),
+    (("--game", "cards"), "--deck is required for the cards game"),
+    (("--game", "cards", "--deck", "1 x"),
+     "--deck '1 x': multiplicity at index 1 must be an integer, got 'x'"),
+), ids=("dice-without-n", "cards-without-deck", "bad-deck"))
+def test_simulate_draws_no_seed_for_a_run_it_refuses(capsys, argv, message):
+    # a "seed: <random>" line was printed before the refusal
+    rc, out, err = run_cli(capsys, "simulate", *argv, "--trials", "5")
+    assert (rc, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_simulate_deck_errors_name_the_flag_and_token(capsys):
     rc, out, err = run_cli(capsys, "simulate", "--game", "cards", "--deck", "1 1.5 0",
                            "--trials", "2", "--seed", "1")
@@ -465,7 +477,7 @@ def test_header_flag_conflicts(capsys):
 
 def test_malformed_inputs_exit_2(capsys):
     rc, _, err = run_cli(capsys, "decode", "1 2 x", "--variant", "normal")
-    assert rc == 2 and "non-integer symbol" in err
+    assert rc == 2 and "symbol at index 2 must be an integer, got 'x'" in err
     rc, _, err = run_cli(capsys, "encode", "not a tree", "--variant", "normal")
     assert rc == 2
     rc, _, err = run_cli(capsys, "params", "{bad json")
@@ -475,14 +487,24 @@ def test_malformed_inputs_exit_2(capsys):
 @pytest.mark.parametrize(
     "argv, fragment",
     (
-        (("decode", "--variant", "normal", '{"symbols":[1.5, 2.9]}'), "non-integer symbol"),
-        (("decode", "--variant", "normal", '{"symbols":[true, 1]}'), "non-integer symbol"),
-        (("decode", "--variant", "normal", '{"symbols":"12"}'), "must be a JSON list"),
-        (("params", '{"n":3,"parent":{"2":1.9,"3":1}}'), "non-integer labels"),
+        (("decode", "--variant", "normal", '{"symbols":[1.5, 2.9]}'),
+         "symbol at index 0 must be an integer, got 1.5"),
+        (("decode", "--variant", "normal", '{"symbols":[true, 1]}'),
+         "symbol at index 0 must be an integer, got True"),
+        (("decode", "--variant", "normal", '{"symbols":"12"}'),
+         "symbols must be a sequence, got '12'"),
+        (("params", '{"n":3,"parent":{"2":1.9,"3":1}}'),
+         "label in parent entry at index 0 must be an integer, got 1.9"),
+        (("decode", "--variant", "normal", '{"symbols":5}'), "symbols must be a sequence, got 5"),
+        (("decode", "--variant", "normal", '{"symbols":null}'),
+         "symbols must be a sequence, got None"),
+        (("decode", "--variant", "normal", '{"symbols":{"1":1}}'),
+         "symbols must be a sequence, got {'1': 1}"),
     ),
 )
 def test_non_integral_json_exits_2(capsys, argv, fragment):
-    # int() would truncate 1.9, read true as 1 and iterate "12" as digits
+    # int() would truncate 1.9, read true as 1 and iterate "12" as digits; a number, null
+    # or an object as the symbols is refused before n is taken from their length
     rc, out, err = run_cli(capsys, *argv)
     assert rc == 2 and out == "" and fragment in err
 
@@ -542,9 +564,9 @@ def test_a_huge_bad_value_gives_a_short_error(capsys, argv):
     "argv, message",
     (
         (("decode", "--variant", "normal", "1_0 1 2 3 4 5 6 7 8 9"),
-         "non-integer symbol '1_0' at index 0"),
+         "symbol at index 0 must be an integer, got '1_0'"),
         (("decode", "--variant", "normal", '{"symbols": [1, "\u0663"]}'),
-         "non-integer symbol '\u0663' at index 1"),
+         "symbol at index 1 must be an integer, got '\u0663'"),
         (("params", '{"n": " 3", "parent": {"2": 1, "3": 1}}'),
          "n must be an integer, got ' 3'"),
         (("decode", "--variant", "normal", '{"n": "3 ", "symbols": [1, 1]}'),
@@ -564,8 +586,9 @@ def test_integer_text_is_a_sign_and_ascii_digits(capsys, argv, message):
         (("decode", "--variant", "normal", "4 normal\n99999999999999999999 1 1"),
          "symbol 99999999999999999999 out of range 1..4"),
         (("decode", "--variant", "normal", "4 normal\n1.5 1 1"),
-         "non-integer symbol '1.5' at index 0"),
-        (("read", "--variant", "normal", "1 1.5 1"), "non-integer symbol '1.5' at index 1"),
+         "symbol at index 0 must be an integer, got '1.5'"),
+        (("read", "--variant", "normal", "1 1.5 1"),
+         "symbol at index 1 must be an integer, got '1.5'"),
     ),
 )
 def test_code_text_the_bulk_reader_refuses_keeps_its_message(capsys, argv, message):

@@ -86,13 +86,13 @@ def test_code_normalizes_symbols():
     (
         (4, (1, 2), "expected 3 symbols"),
         (4, (1, 2, 9), "out of range"),
-        (4, (1, "x", 2), "non-integer symbol"),
+        (4, (1, "x", 2), "^symbol at index 1 must be an integer, got 'x'$"),
         (0, (), "n must be >= 1"),
-        (3, (1.5, 2.9), "non-integer symbol"),
-        (3, (True, 1), "non-integer symbol"),
-        (5, [1, 2, 1.5, 3], r"^non-integer symbol 1\.5 at index 2$"),
+        (3, (1.5, 2.9), r"^symbol at index 0 must be an integer, got 1\.5$"),
+        (3, (True, 1), "^symbol at index 0 must be an integer, got True$"),
+        (5, [1, 2, 1.5, 3], r"^symbol at index 2 must be an integer, got 1\.5$"),
         # a one-shot iterator is read once, so its bad symbol is still named
-        (2, iter(["x"]), r"^non-integer symbol 'x' at index 0$"),
+        (2, iter(["x"]), "^symbol at index 0 must be an integer, got 'x'$"),
         (3, 5, r"^symbols must be a sequence, got 5$"),
     ),
 )
@@ -113,6 +113,17 @@ def test_code_rejects_a_variant_that_is_not_one(variant):
 def test_decoding_a_non_sequence_names_it(decode):
     with pytest.raises(CodeError, match="^symbols must be a sequence, got 5$"):
         decode(5)
+
+
+@pytest.mark.parametrize("decode", (decode_sequence, prufer_decode))
+def test_a_type_error_raised_while_reading_the_symbols_is_their_own(decode):
+    # it was caught as "not iterable" and reported as symbols must be a sequence
+    def symbols():
+        yield 1
+        raise TypeError("inner")
+
+    with pytest.raises(TypeError, match="^inner$"):
+        decode(symbols())
 
 
 # tuple() splits a str or bytes into characters, reads a map by its keys and a set in hash

@@ -251,8 +251,8 @@ def test_deck_for_tree_matches_out_degrees(fig1):
         (4, (1, 1, 1, 1), "must hold n-1"),
         (0, (), "n must be >= 1"),
         (4, (-1, 2, 1, 1), "negative multiplicity"),
-        (3, (1.9, 1.2, 0), "multiplicity must be an integer"),
-        (3, (True, 1, 0), "multiplicity must be an integer"),
+        (3, (1.9, 1.2, 0), r"^multiplicity at index 0 must be an integer, got 1\.9$"),
+        (3, (True, 1, 0), "^multiplicity at index 0 must be an integer, got True$"),
         (2, 5, "^multiplicities must be a sequence, got 5$"),
         # a str was read as its characters and a set in hash order
         (3, "110", "^multiplicities must be a sequence, got '110'$"),

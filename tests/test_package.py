@@ -15,7 +15,9 @@ A tree is one label-indexed parent tuple, built in three places, with no
 second form to adapt it back to.  Each command of the command line returns
 its output, and run alone writes it to stdout.  A sequence of values and a
 sequence of pairs each have one reader, which raises the caller's error
-class, so no entry point catches a strict read to raise it again.
+class, so no entry point catches a strict read to raise it again.  Every
+refused integer is worded by _strict_int alone, naming where it sits, so no
+reader catches its refusal to word it again.
 """
 
 import ast
@@ -245,3 +247,20 @@ def test_no_strict_read_is_raised_again_in_another_class(name):
                and getattr(node.func, "id", None) == "str"
                and [ast.unparse(arg) for arg in node.args] == [handler.name]]
     assert not rewraps, f"{name} raises str(exc) again on lines {rewraps}"
+
+
+def test_a_refused_integer_has_one_message():
+    # "non-integer symbol", "labels", "declared root" and "edge" each reworded _strict_int's
+    # refusal, and _refused picked between the two messages for them
+    found = lines_with("non-integer")
+    assert not found, f"'non-integer' is a second integer message: {found}"
+    defined = {node.name for path in MODULES for node in ast.walk(parse(path))
+               if isinstance(node, ast.FunctionDef)}
+    assert "_refused" not in defined
+    for path, name in (("trees.py", "_tree"), ("trees.py", "_entry_by_entry"),
+                       ("codec.py", "prufer_encode")):
+        func = next(node for node in parse(PACKAGE / path).body
+                    if isinstance(node, ast.FunctionDef) and node.name == name)
+        caught = [node.lineno for node in ast.walk(func) if isinstance(node, ast.ExceptHandler)
+                  and node.type is not None and "ValueError" in ast.unparse(node.type)]
+        assert not caught, f"{name} catches ValueError on lines {caught}"

@@ -3,9 +3,11 @@
 A size is an int, a numpy integer or a string of an optional sign and ASCII
 digits, and it is >= 1.  True, 3.0 and "x" are refused with the entry point's
 own error class, naming the value, not read as 1, truncated, or left to fail
-deep inside with a TypeError.
+deep inside with a TypeError.  Every other integer the library reads, at any
+position of its input, is refused in the same words, naming where it sits.
 """
 
+import json
 import re
 import sys
 
@@ -14,6 +16,7 @@ import pytest
 
 from slithercode import (
     NORMAL,
+    TreeError,
     CodeError,
     Deck,
     RandomSource,
@@ -44,6 +47,7 @@ from slithercode import (
     strategic_set,
     validate_tree,
 )
+from slithercode.cli import parse_code
 from slithercode.counting import all_codes
 from slithercode.games import (binary_lr_deal, dice_deal, full_binary_deal, full_binary_m,
                                plane_deal)
@@ -191,3 +195,47 @@ def test_integer_text_past_the_digit_limit_is_named(call, error, what):
                f"got '9{{39}}\\.\\.\\.9{{36}}'$")
     with pytest.raises(error, match=message):
         call()
+
+
+# (name, what the message calls the integer, the call with it as v, error class): each
+# position of an integer in the library's input, beside the sizes of ENTRY_POINTS
+INTEGER_POSITIONS = (
+    ("symbol-tuple", "symbol at index 1", lambda v: SlitherCode(3, NORMAL, (1, v)), CodeError),
+    ("symbol-list", "symbol at index 1", lambda v: SlitherCode(3, NORMAL, [1, v]), CodeError),
+    ("symbol-json", "symbol at index 1",
+     lambda v: parse_code(json.dumps({"symbols": [1, v]}), NORMAL, None), CodeError),
+    ("label-in-dict", "label in parent entry at index 1",
+     lambda v: validate_tree({"n": 3, "parent": {2: 1, 3: v}}), TreeError),
+    ("label-in-pairs", "label in parent entry at index 1",
+     lambda v: validate_tree({"n": 3, "parent": [(2, 1), (v, 1)]}), TreeError),
+    ("declared-root", "declared root",
+     lambda v: validate_tree({"n": 3, "root": v, "parent": {2: 1, 3: 1}}), TreeError),
+    ("edge-end", "end of edge at index 0", lambda v: prufer_encode(3, [(v, 1), (2, 3)]),
+     CodeError),
+    ("multiplicity", "multiplicity at index 1", lambda v: Deck(3, (1, v, 0)), ValueError),
+    ("count", "count",
+     lambda v: TrialHistogram.from_json_dict({**HISTOGRAM, "counts": {"1": v}}), ValueError),
+    ("count-key", "count key",
+     lambda v: TrialHistogram.from_json_dict({**HISTOGRAM, "counts": {v: 2}}), ValueError),
+)
+
+
+@pytest.mark.parametrize("bad", (True, 3.0, "x"), ids=("bool", "float", "str"))
+@pytest.mark.parametrize("what, call, error", [entry[1:] for entry in INTEGER_POSITIONS],
+                         ids=[entry[0] for entry in INTEGER_POSITIONS])
+def test_every_integer_position_is_refused_in_one_grammar(what, call, error, bad):
+    # each was "non-integer symbol V at index i", "non-integer labels in parent entry
+    # (c, p)", "non-integer declared root V" or "non-integer edge (u, v)", or named no index
+    with pytest.raises(error, match=f"^{what} must be an integer, got {re.escape(repr(bad))}$"):
+        call(bad)
+
+
+@pytest.mark.skipif(not DIGIT_LIMIT, reason="int() reads integer text of any length")
+@pytest.mark.parametrize("what, call, error", [entry[1:] for entry in INTEGER_POSITIONS],
+                         ids=[entry[0] for entry in INTEGER_POSITIONS])
+def test_every_integer_position_names_the_digit_limit(what, call, error):
+    # prufer_encode called an edge end past the limit a non-integer edge
+    message = (f"^{what} has more than {DIGIT_LIMIT} digits, "
+               f"got '9{{39}}\\.\\.\\.9{{36}}'$")
+    with pytest.raises(error, match=message):
+        call(TOO_LONG)

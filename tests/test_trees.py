@@ -73,7 +73,8 @@ def test_validate_single_vertex():
 @pytest.mark.parametrize(
     "data, fragment",
     (
-        ({"n": 3, "parent": {2: 1, 3: "x"}}, "non-integer labels"),
+        ({"n": 3, "parent": {2: 1, 3: "x"}},
+         "^label in parent entry at index 1 must be an integer, got 'x'$"),
         ({"n": 3, "parent": {2: 1, 3: 5}}, "out of range"),
         ({"n": 3, "parent": [(2, 1), (2, 3)]}, "duplicate parent entry"),
         ({"n": 3, "parent": {2: 2, 3: 1}}, "its own parent"),
@@ -84,10 +85,13 @@ def test_validate_single_vertex():
         ({"n": 0, "parent": {}}, "n must be >= 1"),
         ({"parent": {}}, "missing vertex count n"),
         (42, "cannot interpret"),
-        ({"n": 3, "parent": {2: 1.9, 3: 1}}, "non-integer labels"),
-        ({"n": 3, "parent": {2: True, 3: 1}}, "non-integer labels"),
+        ({"n": 3, "parent": {2: 1.9, 3: 1}},
+         r"^label in parent entry at index 0 must be an integer, got 1\.9$"),
+        ({"n": 3, "parent": {2: True, 3: 1}},
+         "^label in parent entry at index 0 must be an integer, got True$"),
         ({"n": 3.0, "parent": {2: 1, 3: 1}}, "n must be an integer, got 3.0"),
-        ({"n": 3, "root": 1.0, "parent": {2: 1, 3: 1}}, "non-integer declared root"),
+        ({"n": 3, "root": 1.0, "parent": {2: 1, 3: 1}},
+         r"^declared root must be an integer, got 1\.0$"),
         ({"n": 3, "parent": 5}, "^parent must be a map or a list of .* got 5$"),
         ({"n": 2, "parent": None}, "^parent must be a map or a list of .* got None$"),
         ({"n": 3, "parent": [1, 2]}, r"^parent entry 1 at index 0 is not a \(child, parent\)"),
@@ -141,12 +145,12 @@ def test_integer_text_past_the_digit_limit_is_named(data, what):
 def _tree_by_entry(n: int, pairs, declared) -> RootedTree:
     """Check the (child, parent) pairs one at a time; raise naming the first defect."""
     parent: dict[int, int] = {}
-    for c, p in pairs:
+    for i, (c, p) in enumerate(pairs):
         try:
-            c, p = _strict_int(c), _strict_int(p)
+            c, p = _strict_int(bad := c), _strict_int(bad := p)
         except ValueError:
-            raise TreeError("non-integer labels in parent entry "
-                            f"({_echo(c)}, {_echo(p)})") from None
+            raise TreeError(f"label in parent entry at index {i} must be an integer, "
+                            f"got {_echo(bad)}") from None
         if not (1 <= c <= n) or not (1 <= p <= n):
             raise TreeError(f"label out of range 1..{n} in parent entry ({c}, {p})")
         if c in parent:
@@ -172,7 +176,7 @@ def _tree_by_entry(n: int, pairs, declared) -> RootedTree:
         try:
             declared = _strict_int(declared)
         except ValueError:
-            raise TreeError(f"non-integer declared root {_echo(declared)}") from None
+            raise TreeError(f"declared root must be an integer, got {_echo(declared)}") from None
         if declared != root:
             raise TreeError(f"declared root {declared} but vertex {root} has no parent")
 
