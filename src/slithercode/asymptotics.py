@@ -119,6 +119,17 @@ class CltReport:
         return asdict(self)
 
 
+def clt_sizes(n: int, trials: int) -> tuple[int, int]:
+    """n and trials as _strict_int reads them; ValueError below clt_check's minima,
+    n >= 100 and trials >= 10000.  A caller can check them before drawing a seed."""
+    n, trials = _strict_int(n, "n"), _strict_int(trials, "trials")
+    if n < 100:
+        raise ValueError(f"clt check needs n >= 100, got {n}")
+    if trials < 10_000:
+        raise ValueError(f"clt check needs trials >= 10000, got {trials}")
+    return n, trials
+
+
 def clt_check(n: int, trials: int, seed: int, threads: int | None = None) -> CltReport:
     """Sample the dice game and compare against the limiting normal law.
 
@@ -129,11 +140,7 @@ def clt_check(n: int, trials: int, seed: int, threads: int | None = None) -> Clt
     artifact, about phi(0)/(2*sigma*sqrt(n)), swamping any real deviation.
     threads accepts only None or 1, as in run_trials.
     """
-    n, trials = _strict_int(n, "n"), _strict_int(trials, "trials")
-    if n < 100:
-        raise ValueError(f"clt check needs n >= 100, got {n}")
-    if trials < 10_000:
-        raise ValueError(f"clt check needs trials >= 10000, got {trials}")
+    n, trials = clt_sizes(n, trials)
     hist = run_trials(lambda rng: dice_trial(n, rng), trials, seed,
                       n=n, parameter="alpha", threads=threads)
 

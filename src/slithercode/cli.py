@@ -250,8 +250,8 @@ def cmd_read(args):
 # Bounds --n of sample, simulate and clt, and --n times --count of sample, whose
 # trees are held until printed at about 80 to 150 B per vertex.
 _SAMPLE_MAX_N = 10**6
-# Bounds --trials of simulate and clt: a trial takes about 10-60 us on one
-# CPU (dice at n = 10 to 2000, plane at n = 500), so 10^7 is 2 to 10 minutes.
+# Bounds --trials of simulate and clt: a trial takes about 8-30 us on one
+# CPU (dice at n = 10 to 2000, plane at n = 500), so 10^7 is 1.5 to 5 minutes.
 _TRIALS_MAX = 10**7
 
 
@@ -348,6 +348,7 @@ def cmd_constants(args):
 def cmd_clt(args):
     _check_bound("--n", args.n, _SAMPLE_MAX_N)
     _check_bound("--trials", args.trials, _TRIALS_MAX)
+    asymptotics.clt_sizes(args.n, args.trials)  # refuse them before a seed is drawn
     seed = resolve_seed(args.seed)
     rep = asymptotics.clt_check(args.n, args.trials, seed).to_json_dict()
     return rep if args.format == "json" else kv_text(rep)

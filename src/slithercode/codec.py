@@ -26,6 +26,7 @@ degree-constrained edge counts for b >= 2.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,16 +103,35 @@ def decode_sequence(symbols, n: int | None = None, variant: Variant = NORMAL) ->
 # --- reading rules ----------------------------------------------------------
 
 
+_EXHAUSTED = "sequence exhausted before the distinct-count threshold"
+
+
+@functools.lru_cache(maxsize=1)
+def _read_constants(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only positions 0..m-1 and cut-offs n-1-j for j in 0..n: prefix_alpha's array
+    read, the same for every deal of m cards at one n."""
+    dtype = np.int32 if 2 * m < 2**31 else np.int64  # n <= 2m + 1 here
+    positions, cuts = np.arange(m, dtype=dtype), np.arange(n - 1, -2, -1, dtype=dtype)
+    positions.flags.writeable = cuts.flags.writeable = False
+    return positions, cuts
+
+
 def prefix_alpha(symbols, n: int) -> int:
     """Smallest a >= 1 with distinct(symbols[:a]) >= n - a; 1 if n is 1, and n < 1 raises.
 
     This is both the independence-number read on a normal code and the
     stopping rule of the family card games, which share this implementation
     on purpose.  Symbols may be any hashables; only distinctness matters.
-    A long integer array with values in 0..n is read without sorting: a
-    scatter keeps each value's first position, and those positions are where
-    the distinct count grows.  Raises if the sequence ends before the
-    threshold is met.
+    Raises if the sequence ends before the threshold is met.
+
+    A long integer array with values in 0..n is read off its first
+    occurrences.  Let f_1 < f_2 < ... be the 0-based positions where a new
+    value appears; distinct(a) >= n - a holds iff f_(n-a) < a, and f_k + k
+    strictly increases, so the answer is n - #{k : f_k + k < n}.  A scatter
+    keeps each value's first position (m, the length, where it is absent),
+    and one sort lines them up.  Absent values sort last, so an answer past
+    m counts one of them: the sequence ran out.  As distinct(a) <= a, no read
+    stops when 2m < n, which is refused before anything is allocated.
     """
     if n <= 1:
         _check_positive(n, "n")
@@ -119,22 +139,21 @@ def prefix_alpha(symbols, n: int) -> int:
     if (isinstance(symbols, np.ndarray) and symbols.shape[0] >= 64
             and symbols.dtype.kind in "iu" and 0 <= symbols.min() and symbols.max() <= n):
         m = symbols.shape[0]
-        first = np.full(n + 1, m)  # m: the value does not occur
-        np.minimum.at(first, symbols, np.arange(m))
-        new = np.zeros(m + 1, dtype=np.int64)
-        new[first] = 1
-        distinct = np.cumsum(new[:m])
-        hit = distinct >= n - np.arange(1, m + 1)
-        a = int(np.argmax(hit))
-        if not hit[a]:
-            raise ValueError("sequence exhausted before the distinct-count threshold")
-        return a + 1
+        if 2 * m < n:
+            raise ValueError(_EXHAUSTED)
+        positions, cuts = _read_constants(m, n)
+        first = np.full(n + 1, m, dtype=positions.dtype)
+        np.minimum.at(first, symbols, positions)
+        a = n - int(np.count_nonzero(np.sort(first) < cuts))
+        if a > m:
+            raise ValueError(_EXHAUSTED)
+        return a
     seen = set()
     for a, s in enumerate(symbols, start=1):
         seen.add(s)
         if len(seen) >= n - a:
             return a
-    raise ValueError("sequence exhausted before the distinct-count threshold")
+    raise ValueError(_EXHAUSTED)
 
 
 def _require_variant(code: SlitherCode, want: Variant, rule: str):
@@ -250,8 +269,9 @@ def prufer_encode(n: int, edges) -> tuple[int, ...]:
     us, vs = _pairs(_sequence(edges, "edges", CodeError), "edge", "(u, v)", CodeError)
     adj: list[list[int]] = [[] for _ in range(n + 1)]
     for i, (u, v) in enumerate(zip(us, vs)):
-        what = f"end of edge at index {i}"
-        u, v = _strict_int(u, what, CodeError), _strict_int(v, what, CodeError)
+        if type(u) is not int or type(v) is not int:  # the index is worded only here
+            what = f"end of edge at index {i}"
+            u, v = _strict_int(u, what, CodeError), _strict_int(v, what, CodeError)
         if not (1 <= u <= n and 1 <= v <= n) or u == v:
             raise CodeError(f"bad edge ({u}, {v}) for n={n}")
         adj[u].append(v)

@@ -256,13 +256,16 @@ def plane_deal(n: int, rng: np.random.Generator) -> np.ndarray:
     labelled plane trees with code s, a plane tree being a rooted tree with
     its children ordered, so the coupon rule on (b_1, ..., b_{n-1}) samples
     the independence number of a uniform plane tree on n vertices.
+
+    The cards are perm's values, reds 0..n-2 and blacks n-1..2n-3.  The r-th
+    red card from the left has r reds before it, so the blacks before it
+    are its position less r.
     """
     n = _check_positive(n, "n")
     perm = rng.permutation(2 * n - 2)
-    is_black = perm >= n - 1
-    blacks_before = np.cumsum(is_black) - is_black
+    red = np.flatnonzero(perm < n - 1)
     labels = np.empty(n - 1, dtype=np.int64)
-    labels[perm[~is_black]] = blacks_before[~is_black]
+    labels[perm[red]] = red - np.arange(n - 1)
     return labels
 
 

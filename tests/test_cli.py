@@ -241,6 +241,16 @@ def test_simulate_draws_no_seed_for_a_run_it_refuses(capsys, argv, message):
     assert (rc, out, err) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("argv, message", (
+    (("--n", "99", "--trials", "10000"), "clt check needs n >= 100, got 99"),
+    (("--n", "100", "--trials", "9999"), "clt check needs trials >= 10000, got 9999"),
+), ids=("n", "trials"))
+def test_clt_draws_no_seed_for_a_run_it_refuses(capsys, argv, message):
+    # a "seed: <random>" line was printed before clt_check refused the minima
+    rc, out, err = run_cli(capsys, "clt", *argv)
+    assert (rc, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_simulate_deck_errors_name_the_flag_and_token(capsys):
     rc, out, err = run_cli(capsys, "simulate", "--game", "cards", "--deck", "1 1.5 0",
                            "--trials", "2", "--seed", "1")

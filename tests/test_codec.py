@@ -30,6 +30,7 @@ from slithercode import (
     slither_decode,
     slither_encode,
 )
+from slithercode.games import DEALS, RandomSource
 from slithercode.trees import _prune
 
 from conftest import random_tree
@@ -327,19 +328,56 @@ def _read_or_error(symbols, n):
 
 
 # Symbol ranges: dice throws 1..n, plane labels 0..n-1, integers outside
-# 0..n, and floats (integral and halves).  size None is a full deal of n - 1.
+# 0..n, and floats (integral and halves).  size None is a full deal of n - 1;
+# 64 is the shortest array the sorted read takes, and 63 the longest it leaves
+# to the loop.  Integer styles are cast to dtype, so negatives wrap in the
+# unsigned ones and both paths read the wrapped values.
 @given(st.integers(2, 200), st.sampled_from(("dice", "plane", "outside", "float")),
-       st.sampled_from((None, 64, 100)), st.integers(0, 2**32 - 1))
-@example(n=200, style="dice", size=64, seed=0)
-@example(n=200, style="plane", size=100, seed=1)
-def test_prefix_alpha_numpy_path_matches_loop(n, style, size, seed):
+       st.sampled_from((None, 63, 64, 100)),
+       st.sampled_from(("int64", "int32", "uint8", "uint16", "uint64")),
+       st.integers(0, 2**32 - 1))
+@example(n=200, style="dice", size=64, dtype="int64", seed=0)
+@example(n=200, style="plane", size=100, dtype="int64", seed=1)
+@example(n=128, style="dice", size=64, dtype="uint8", seed=2)
+@example(n=127, style="plane", size=64, dtype="uint64", seed=3)
+def test_prefix_alpha_numpy_path_matches_loop(n, style, size, dtype, seed):
     rng = np.random.default_rng(seed)
     lo, hi = {"dice": (1, n), "plane": (0, n - 1), "outside": (-2, n + 2),
               "float": (1, n)}[style]
     arr = rng.integers(lo, hi + 1, size=n - 1 if size is None else size)
     if style == "float":
         arr = arr / rng.choice((1, 2), size=arr.shape[0])
+    else:
+        arr = arr.astype(dtype)
     assert _read_or_error(arr, n) == _read_or_error(list(arr), n)
+
+
+@pytest.mark.parametrize("n", (500, 2000))
+@pytest.mark.parametrize("family", sorted(DEALS))
+def test_prefix_alpha_reads_each_familys_deals_as_the_loop_does(family, n):
+    n += family == "full-binary"  # that family needs odd n
+    source = RandomSource(26)
+    for i in range(25):
+        cards = DEALS[family](n, source.trial_rng(i))
+        assert prefix_alpha(cards, n) == prefix_alpha(cards.tolist(), n)
+
+
+@pytest.mark.parametrize("n, last, want", (
+    (10**12, 100, None),
+    (201, 100, None), (200, 100, 100), (199, 100, 100),  # 2m = n - 1, n and n + 1
+    (200, 1, None), (199, 1, 100),
+))
+def test_prefix_alpha_needs_half_as_many_symbols_as_faces(n, last, want):
+    # distinct(a) <= a, so no read stops when 2m < n; the sorted read refuses that
+    # before it allocates its n + 1 entries (at n = 10^12 it raised MemoryError)
+    arr = np.arange(1, 101)
+    arr[-1] = last
+    for seq in (arr, arr.tolist()):
+        if want is None:
+            with pytest.raises(ValueError, match="exhausted"):
+                prefix_alpha(seq, n)
+        else:
+            assert prefix_alpha(seq, n) == want
 
 
 def test_prefix_alpha_numpy_path_exhausted():

@@ -315,6 +315,23 @@ def test_each_trial_is_the_coupon_read_of_its_deal(deal, trial, size, n):
         assert np.array_equal(DEALS[family](n, RandomSource(3).trial_rng(i)), cards)
 
 
+def test_plane_deal_draws_the_cards_of_a_running_black_count():
+    # the reference labels each red card by a running count of the black cards before it
+    def reference(n, rng):
+        perm = rng.permutation(2 * n - 2)
+        is_black = perm >= n - 1
+        blacks_before = np.cumsum(is_black) - is_black
+        labels = np.empty(n - 1, dtype=np.int64)
+        labels[perm[~is_black]] = blacks_before[~is_black]
+        return labels
+
+    source = RandomSource(26)
+    for i in range(1000):
+        n = (1, 2, 3, 7, 40, 500)[i % 6]
+        got, want = plane_deal(n, source.trial_rng(i)), reference(n, source.trial_rng(i))
+        assert got.dtype == want.dtype and np.array_equal(got, want), (n, i)
+
+
 @pytest.mark.parametrize(
     "n, deals",
     (

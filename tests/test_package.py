@@ -17,7 +17,8 @@ its output, and run alone writes it to stdout.  A sequence of values and a
 sequence of pairs each have one reader, which raises the caller's error
 class, so no entry point catches a strict read to raise it again.  Every
 refused integer is worded by _strict_int alone, naming where it sits, so no
-reader catches its refusal to word it again.
+reader catches its refusal to word it again.  The coupon read and the plane
+deal keep no running count of every position.
 """
 
 import ast
@@ -264,3 +265,15 @@ def test_a_refused_integer_has_one_message():
         caught = [node.lineno for node in ast.walk(func) if isinstance(node, ast.ExceptHandler)
                   and node.type is not None and "ValueError" in ast.unparse(node.type)]
         assert not caught, f"{name} catches ValueError on lines {caught}"
+
+
+@pytest.mark.parametrize("path, name", (("codec.py", "prefix_alpha"), ("games.py", "plane_deal")))
+def test_the_coupon_read_and_the_plane_deal_keep_no_running_count(path, name):
+    # prefix_alpha sorts the first occurrences and plane_deal subtracts each red card's rank;
+    # a cumsum over every position was most of a trial's time
+    func = next(node for node in parse(PACKAGE / path).body
+                if isinstance(node, ast.FunctionDef) and node.name == name)
+    found = [node.lineno for node in ast.walk(func)
+             if isinstance(node, (ast.Name, ast.Attribute))
+             and "cumsum" in (getattr(node, "id", None), getattr(node, "attr", None))]
+    assert not found, f"{name} calls cumsum on lines {found}"
