@@ -19,6 +19,11 @@ reads each parent from its slot, scatters the symbols into a parent tuple,
 with the root the one label left at 0.  Decoding never looks at the
 variant's name, only its capacity b.
 
+SlitherCode checks every code built from outside input, once.  A code whose
+symbols are known to be ints in 1..n is built by _code without that check:
+encode's gathered parents, whose range the pruning scan has checked, and the
+exhaustive rooted sweep's Prufer codes in counting, and nothing else.
+
 The reading rules extract tree parameters from a code without decoding:
 independence and matching numbers, the root and full P-set, and the
 degree-constrained edge counts for b >= 2.
@@ -60,6 +65,17 @@ class SlitherCode:
             raise CodeError(f"symbol {s} out of range 1..{self.n}")
 
 
+def _code(n: int, variant: Variant, symbols: tuple[int, ...]) -> SlitherCode:
+    """The SlitherCode of n, variant and symbols as given, for int symbols known to be in 1..n.
+
+    It skips the constructor's checks, an O(n) re-read of every symbol; outside
+    input goes through SlitherCode(...).
+    """
+    code = object.__new__(SlitherCode)
+    code.__dict__.update(n=n, variant=variant, symbols=symbols)  # frozen, so not by setattr
+    return code
+
+
 def slither_encode(tree: RootedTree, variant: Variant = NORMAL):
     """Encode a rooted tree.  Returns (code, auxiliary).
 
@@ -69,9 +85,11 @@ def slither_encode(tree: RootedTree, variant: Variant = NORMAL):
     the non-root vertices.
     """
     n, parent = tree.n, tree.parent
+    # _prune checks the variant, and raises unless every deleted vertex's parent is in 1..n
     _, order = _prune(n, parent, variant)
-    symbols = tuple(map(parent.__getitem__, order))
-    return SlitherCode(n=n, variant=variant, symbols=symbols), tuple(order)
+    # a tree built by hand may hold True or numpy labels, which SlitherCode refuses or reads
+    symbols = tuple(_strict_ints(tuple(map(parent.__getitem__, order)), "symbol", CodeError))
+    return _code(n, variant, symbols), tuple(order)
 
 
 def slither_decode(code: SlitherCode) -> RootedTree:
@@ -133,6 +151,7 @@ def prefix_alpha(symbols, n: int) -> int:
     m counts one of them: the sequence ran out.  As distinct(a) <= a, no read
     stops when 2m < n, which is refused before anything is allocated.
     """
+    n = _strict_int(n, "n")  # the size rule, so 150.0 and True are refused on either path
     if n <= 1:
         _check_positive(n, "n")
         return 1
@@ -215,7 +234,8 @@ def _saturation_read(symbols, n: int, b: int):
 
     Returns (beta, sum of min(count, b) over the prefix).  Terminates by
     beta = n-1 since the threshold then drops to zero.  Symbols lie in 1..n,
-    as SlitherCode validates them, so the counts are a list indexed by symbol.
+    as SlitherCode checks them or _code's callers build them, so the counts
+    are a list indexed by symbol.
     """
     counts = [0] * (n + 1)
     saturated = capped_total = beta = 0

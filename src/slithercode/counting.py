@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice, product
 
-from .codec import SlitherCode, prefix_alpha, slither_decode
+from .codec import _code, prefix_alpha, slither_decode
 from .trees import Variant, _check_positive, _strict_int, classify
 
 _ENUM_BUDGET = 7  # n^(n-2) tree and n^(n-1) throw sweeps stay interactive up to here
@@ -64,20 +64,27 @@ class DistributionTable:
                 "probabilities": {str(v): p for v, p in self.probabilities().items()}}
 
 
-def _stirling_triangle():
-    """The rows S(m, 0..m) for m = 0, 1, 2, ..., holding only the current one."""
+def _stirling_triangle(n: int):
+    """Rows m = 0..n of the triangle, row m cut to S(m, 0..min(m, n - m)), holding one at a time.
+
+    S(m + 1, k) reads row m at columns k - 1 and k only.  The cut rises by one
+    from row to row while rows are full, and then falls, so each row holds
+    every column the next one reads.
+    """
     row = [1]
-    while True:
+    for m in range(n):
         yield row
-        row = [0, *(k * row[k] + row[k - 1] for k in range(1, len(row))), 1]
+        full = [*row, 0]  # S(m, m + 1) = 0, read by the diagonal S(m + 1, m + 1)
+        row = [0, *(k * full[k] + full[k - 1] for k in range(1, min(m + 1, n - m - 1) + 1))]
+    yield row
 
 
 def stirling2(m: int, k: int) -> int:
-    """Stirling partition number S(m, k), read off row m of the triangle; 0 off it."""
+    """Stirling partition number S(m, k), read off row m of the triangle cut at k; 0 off it."""
     m, k = _strict_int(m, "m"), _strict_int(k, "k")
     if m < 0 or k < 0 or k > m:
         return 0
-    return next(islice(_stirling_triangle(), m, None))[k]
+    return next(islice(_stirling_triangle(m + k), m, None))[k]
 
 
 def _whole(value: Fraction, what: str) -> int:
@@ -94,8 +101,8 @@ def _rfact(k: int) -> Fraction:
 
 def _independence_counts(n: int):
     """(alpha, count_independence(n, alpha)) for alpha = 1..n, in one pass down
-    rows 1..n of the Stirling triangle, holding rows alpha-1 and alpha."""
-    rows = _stirling_triangle()
+    rows 1..n of the Stirling triangle cut at n - alpha, holding rows alpha-1 and alpha."""
+    rows = _stirling_triangle(n)
     below = next(rows)
     for alpha, row in zip(range(1, n + 1), rows):
         k = n - alpha  # column k of a row shorter than k + 1 is zero
@@ -197,8 +204,8 @@ def exact_rooted_distribution(n: int, parameter: str = "independence",
     codes = [()] if n == 1 else (d + (n,) for d in product(range(1, n + 1), repeat=n - 2))
     prufer = Variant(n)
     counts = Counter()
-    for symbols in codes:
-        tree = slither_decode(SlitherCode(n=n, variant=prufer, symbols=symbols))
+    for symbols in codes:  # built here in 1..n, so not checked again
+        tree = slither_decode(_code(n, prufer, symbols))
         edges = classify(tree, variant).capacity_edges()
         counts[n - edges if complement else edges] += n
     return DistributionTable(family="uniform-rooted", parameter=parameter, n=n,

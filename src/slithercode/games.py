@@ -152,10 +152,10 @@ def coupon_read(sequence, n: int) -> int:
 
     Same rule, same implementation as the read_alpha codec operation; the
     equality of game value and independence read is the point, not an
-    accident.  n is read by _strict_int, so a trial hands on its caller's n
-    as it came.
+    accident.  prefix_alpha reads n by _strict_int, so a trial hands on its
+    caller's n as it came.
     """
-    return prefix_alpha(sequence, _strict_int(n, "n"))
+    return prefix_alpha(sequence, n)
 
 
 def dice_deal(n: int, rng: np.random.Generator) -> np.ndarray:

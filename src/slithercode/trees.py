@@ -26,6 +26,7 @@ slot order is the codes' auxiliary sequence.
 
 from __future__ import annotations
 
+import functools
 import re
 import sys
 from collections.abc import Mapping
@@ -154,8 +155,10 @@ class RootedTree:
 
     parent has n + 1 entries: parent[v] is v's parent, and parent[0] and
     parent[root] are 0.  A tree is hashable, so it serves as its own key.
-    Only that shape is checked here; use validate_tree to build a tree from
-    a child -> parent map or other untrusted input.
+    Only that shape is checked here, with n and root exact ints, as a code
+    encoded from the tree takes its n unread; the entries are read by the
+    pruning scan.  Use validate_tree to build a tree from a child -> parent
+    map or other untrusted input.
     """
 
     n: int
@@ -163,11 +166,15 @@ class RootedTree:
     parent: tuple[int, ...]
 
     def __post_init__(self):
-        p = self.parent
-        if not (type(p) is tuple and len(p) == self.n + 1 and 1 <= self.root <= self.n
-                and p[0] == p[self.root] == 0):
-            raise TreeError(f"parent must be a tuple of n + 1 = {self.n + 1} labels, 0 at "
-                            f"entries 0 and root {self.root}, got {_echo(p)}; "
+        n, root, p = self.n, self.root, self.parent
+        if not (type(n) is int and type(root) is int and type(p) is tuple and len(p) == n + 1
+                and 1 <= root <= n and p[0] == p[root] == 0):
+            for what, value in (("n", n), ("root", root)):
+                if type(value) is not int:
+                    raise TreeError(f"{what} must be an int, got {_echo(value)}; "
+                                    "build a tree from a child -> parent map with validate_tree")
+            raise TreeError(f"parent must be a tuple of n + 1 = {n + 1} labels, 0 at "
+                            f"entries 0 and root {root}, got {_echo(p)}; "
                             "build a tree from a child -> parent map with validate_tree")
 
     def children_lists(self) -> list[list[int]]:
@@ -590,11 +597,13 @@ _BF_INDEP_LIMIT = 20
 _BF_EDGES_LIMIT = 16
 
 
+@functools.lru_cache(maxsize=_BF_INDEP_LIMIT + 1)  # k <= 20: read-only tables, 2 MB in all
 def _popcounts(k: int) -> np.ndarray:
     """Bit counts of 0..2^k-1; i + 2^j has one bit more than i < 2^j."""
     pc = np.zeros(1 << k, dtype=np.uint8)
     for j in range(k):
         pc[1 << j:2 << j] = pc[:1 << j] + 1
+    pc.flags.writeable = False
     return pc
 
 

@@ -12,6 +12,7 @@ from slithercode import (
     NORMAL,
     CodeError,
     ReadResult,
+    RootedTree,
     SlitherCode,
     capacity,
     classify,
@@ -184,6 +185,30 @@ def test_code_reads_n_strictly(n, shown):
 def test_code_reads_n_as_an_int(n):
     code = SlitherCode(n=n, variant=NORMAL, symbols=(1, 2))
     assert type(code.n) is int and code.n == 3
+
+
+@pytest.mark.parametrize("n", (1, 2, 5, 17, 40))
+def test_an_encoded_code_equals_the_one_built_from_its_symbols(n):
+    # slither_encode builds its code unchecked; it must be the code the public
+    # constructor builds from the same symbols, equal and with the same hash
+    shapes = [random_tree(n, seed) for seed in range(6)] + [
+        RootedTree(n=n, root=1, parent=(0, 0, *range(1, n))),  # a path
+        RootedTree(n=n, root=1, parent=(0, 0) + (1,) * (n - 1))]  # a star
+    for tree in shapes:
+        for variant in {NORMAL, COMPLY, capacity(3), capacity(n)}:
+            code = slither_encode(tree, variant)[0]
+            checked = SlitherCode(n=tree.n, variant=variant, symbols=code.symbols)
+            assert code == checked and hash(code) == hash(checked)
+            assert type(code.n) is int and type(code.symbols) is tuple
+            assert all(type(s) is int for s in code.symbols)
+
+
+def test_a_hand_built_trees_labels_are_read_as_a_code_reads_them():
+    # the shape check does not read entries, so encode reads their type as SlitherCode does
+    code = slither_encode(RootedTree(n=3, root=1, parent=(0, 0, 1, np.int64(1))))[0]
+    assert code.symbols == (1, 1) and all(type(s) is int for s in code.symbols)
+    with pytest.raises(CodeError, match="^symbol at index 0 must be an integer, got True$"):
+        slither_encode(RootedTree(n=3, root=1, parent=(0, 0, True, 1)))
 
 
 def test_single_vertex_conventions():
@@ -393,6 +418,15 @@ def test_prefix_alpha_exhausted():
         prefix_alpha([], 3)
     with pytest.raises(ValueError, match="exhausted"):
         prefix_alpha([5, 5], 9)
+
+
+@pytest.mark.parametrize("n", (150.0, True, "x"))
+def test_prefix_alpha_reads_n_by_the_size_rule(n):
+    # coupon_read hands n on unread, so the list and array paths read it alike
+    shown = re.escape(repr(n))
+    for seq in (list(range(1, 101)), np.arange(1, 101)):
+        with pytest.raises(ValueError, match=f"^n must be an integer, got {shown}$"):
+            prefix_alpha(seq, n)
 
 
 # --- classic prufer ---------------------------------------------------------

@@ -59,6 +59,17 @@ def test_stirling_rows_sum_to_bell_numbers():
         assert sum(stirling2(m, k) for k in range(m + 1)) == bell[m]
 
 
+def test_stirling_rows_are_the_full_rows_cut_at_n_minus_m():
+    # _independence_counts reads row m only to column n - m, so a row is built only that far
+    full, rows = [1], [[1]]
+    for m in range(60):
+        full = [0, *(k * full[k] + full[k - 1] for k in range(1, len(full))), 1]
+        rows.append(full)
+    for n in range(61):
+        want = [rows[m][:min(m, n - m) + 1] for m in range(n + 1)]
+        assert list(counting._stirling_triangle(n)) == want
+
+
 # --- unrooted independence counts -------------------------------------------
 
 

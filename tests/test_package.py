@@ -12,8 +12,10 @@ callback and no closure.  The strategic set and the path cover both read the
 one link pass, trees._links, and run_trials builds each trial's generator
 through RandomSource.trial_rng.
 A tree is one label-indexed parent tuple, built in three places, with no
-second form to adapt it back to.  Each command of the command line returns
-its output, and run alone writes it to stdout.  A sequence of values and a
+second form to adapt it back to.  A code skips its checks in codec._code
+alone, for encode and the rooted sweep, whose symbols the library built.
+Each command of the command line returns its output, and run alone writes
+it to stdout.  A sequence of values and a
 sequence of pairs each have one reader, which raises the caller's error
 class, so no entry point catches a strict read to raise it again.  Every
 refused integer is worded by _strict_int alone, naming where it sits, so no
@@ -194,6 +196,22 @@ def test_trees_are_built_in_three_places():
                         getattr(node.func, "id", None), getattr(node.func, "attr", None)):
                     where.add(f"{path.stem}.{getattr(top, 'name', top.lineno)}")
     assert where == {"trees._tree", "codec.slither_decode", "codec.prufer_encode"}, where
+
+
+def test_codes_are_built_unchecked_in_one_place_for_two_callers():
+    # codec._code skips SlitherCode's checks, so only the library's own symbols may reach it:
+    # encode's gathered parents and the sweep's Prufer digits
+    news, callers = set(), set()
+    for path in MODULES:
+        for top in parse(path).body:
+            where = f"{path.stem}.{getattr(top, 'name', top.lineno)}"
+            for node in ast.walk(top):
+                if isinstance(node, ast.Attribute) and node.attr == "__new__":
+                    news.add(where)
+                if "_code" in (getattr(node, "id", None), getattr(node, "attr", None)):
+                    callers.add(where)
+    assert news == {"codec._code"}, f"__new__ is called in {sorted(news)}"
+    assert callers == {"codec.slither_encode", "counting.exact_rooted_distribution"}, callers
 
 
 def test_the_cli_has_one_output_path():

@@ -34,7 +34,7 @@ from slithercode import (
 
 from slithercode import cli
 from slithercode.cli import parse_tree
-from slithercode.trees import _echo, _strict_int
+from slithercode.trees import _echo, _popcounts, _strict_int
 
 from conftest import random_tree
 
@@ -450,6 +450,23 @@ def test_a_tree_is_its_label_indexed_parent_tuple(n, root, parent):
         RootedTree(n=n, root=root, parent=parent)
 
 
+@pytest.mark.parametrize(
+    "n, root, parent",
+    (
+        (True, 1, (0, 0)),  # True == 1, so only its type tells it from a one-vertex tree
+        (3.0, 1, (0, 0, 1, 1)),  # the pruning scan cannot size its lists by 3.0
+        (np.int64(3), 1, (0, 0, 1, 1)),
+        (3, 1.0, (0, 0, 1, 1)),  # a tuple cannot be indexed by 1.0
+        (3, True, (0, 0, 1, 1)),  # True == 1 again
+    ),
+)
+def test_a_tree_refuses_n_and_root_that_are_not_exact_ints(n, root, parent):
+    what, value = ("n", n) if type(n) is not int else ("root", root)
+    with pytest.raises(TreeError, match=rf"^{what} must be an int, got {re.escape(repr(value))}; "
+                                        "build a tree .* with validate_tree$"):
+        RootedTree(n=n, root=root, parent=parent)
+
+
 @given(trees)
 def test_a_tree_is_its_own_key(t):
     twin = validate_tree({"n": t.n, "root": t.root, "parent": t.edges()[::-1]})
@@ -612,6 +629,13 @@ def test_bit_mask_oracles_match_an_enumeration_of_subsets(n):
         for b in (1, 2, 3):
             assert bf_max_capacity_edges(t, b) == largest_subset(
                 t.edges(), lambda sub: degrees_within(b, sub))
+
+
+def test_bit_count_tables_are_built_once_per_size_and_read_only():
+    assert _popcounts(5) is _popcounts(5)
+    assert _popcounts(5).tolist() == [bin(i).count("1") for i in range(32)]
+    with pytest.raises(ValueError, match="read-only"):
+        _popcounts(5)[0] = 1
 
 
 # --- brute-force guards -----------------------------------------------------
