@@ -161,7 +161,7 @@ def clt_check(n: int, trials: int, seed: int, threads: int | None = None) -> Clt
     ks_asym = lattice_ks(cons.rho * n, math.sqrt(cons.sigma2 * n))
     ks_fit = lattice_ks(hist.mean(), math.sqrt(hist.variance()))
 
-    return CltReport(n=n, trials=trials, seed=seed,
+    return CltReport(n=n, trials=trials, seed=hist.seed,
                      mean=hist.mean(), variance=hist.variance(),
                      mean_over_n=hist.mean() / n, variance_over_n=hist.variance() / n,
                      rho=cons.rho, sigma2=cons.sigma2, ks_distance=ks_asym,

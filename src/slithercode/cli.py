@@ -269,8 +269,9 @@ def cmd_sample(args):
     if args.family == "plane":
         raise ValueError(
             "the plane family has no tree codec here; plane supports simulate only")
+    n = _check_positive(args.n, "n")  # refuse it before a seed is drawn
     seed = resolve_seed(args.seed)
-    n, deal = args.n, games.DEALS["dice" if args.family == "uniform" else args.family]
+    deal = games.DEALS["dice" if args.family == "uniform" else args.family]
     source = games.RandomSource(seed)
     sampled = [codec.decode_sequence(deal(n, source.trial_rng(i)).tolist(), n, args.variant)
                for i in range(args.count)]
@@ -284,6 +285,7 @@ def cmd_simulate(args):
     _check_bound("--n", args.n, _SAMPLE_MAX_N)
     _check_bound("--trials", args.trials, _TRIALS_MAX)
     resolve_threads(args.threads)
+    trials = _check_positive(args.trials, "trials")  # refuse it before a seed is drawn
     game = args.game
     if game == "cards":
         if args.deck is None:
@@ -300,8 +302,8 @@ def cmd_simulate(args):
     else:
         if args.n is None:
             raise ValueError(f"--n is required for the {game} game")
-        n, deal = args.n, games.DEALS[game]
-    hist = games.run_trials(lambda rng: games.coupon_read(deal(n, rng), n), args.trials,
+        n, deal = _check_positive(args.n, "n"), games.DEALS[game]
+    hist = games.run_trials(lambda rng: games.coupon_read(deal(n, rng), n), trials,
                             resolve_seed(args.seed), n=n, parameter="alpha")
     if args.format == "json":
         return hist.to_json_dict()

@@ -10,8 +10,8 @@ and plane trees.
 
 Reproducibility contract: a trial is a pure function of (master seed,
 trial index).  Trial i draws from np.random.PCG64(splitmix64(seed, i)), so
-the histograms of disjoint index ranges merge, in any order, into the
-histogram of their union.  Seeding a PCG64 from an integer hashes it
+the tallies of disjoint index ranges add up, in any order, to the tally of
+their union.  Seeding a PCG64 from an integer hashes it
 through numpy's SeedSequence, one integer per call; RandomSource.trial_rng
 runs that hash over 1024 indices at a time, in numpy, and hands each
 generator its precomputed words.  Such a generator draws exactly as
@@ -311,8 +311,8 @@ def sample_uniform_labelled_tree(n: int, rng: np.random.Generator | None = None)
 @dataclass(frozen=True)
 class TrialHistogram:
     """Counts of a trial statistic, tagged with its provenance.  Where it is built,
-    parameter must be a string, n >= 1, the seed one RandomSource takes, and the
-    counts >= 0, summing to trials."""
+    parameter must be a string, n and trials >= 1, the seed one RandomSource takes,
+    and the counts >= 0, summing to trials."""
 
     parameter: str
     n: int
@@ -325,6 +325,7 @@ class TrialHistogram:
             raise ValueError(f"parameter must be a string, got {_echo(self.parameter)}")
         object.__setattr__(self, "n", _check_positive(self.n, "n"))
         object.__setattr__(self, "seed", RandomSource(self.seed).seed)
+        object.__setattr__(self, "trials", _check_positive(self.trials, "trials"))
         total = _total(self.counts)
         if total != self.trials:
             raise ValueError(f"counts sum to {total}, not to trials = {self.trials}")
@@ -339,19 +340,6 @@ class TrialHistogram:
         mu = self.mean()
         return sum(c * (v - mu) ** 2 for v, c in self.counts.items()) / self.trials
 
-    def merge(self, other: "TrialHistogram") -> "TrialHistogram":
-        """Combine disjoint runs.  Associative and order-independent."""
-        if (self.parameter, self.n) != (other.parameter, other.n):
-            raise ValueError("histograms describe different experiments")
-        counts = Counter(self.counts)
-        counts.update(other.counts)
-        return TrialHistogram(parameter=self.parameter, n=self.n,
-                              trials=self.trials + other.trials,
-                              seed=min(self.seed, other.seed),
-                              counts=dict(sorted(counts.items())))
-
-    __add__ = merge
-
     def to_json_dict(self) -> dict:
         return {
             "n": self.n,
@@ -360,25 +348,6 @@ class TrialHistogram:
             "seed": self.seed,
             "counts": {str(v): c for v, c in sorted(self.counts.items())},
         }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "TrialHistogram":
-        """Read integers strictly; every field is required, counts is an object with one
-        key per value and trials is >= 1, besides what the constructor checks."""
-        if not isinstance(d, dict):
-            raise ValueError(f"a histogram must be an object, got {_echo(d)}")
-        missing = [k for k in ("parameter", "n", "trials", "seed", "counts") if k not in d]
-        if missing:
-            raise ValueError(f"missing field(s) {', '.join(missing)}")
-        raw = d["counts"]
-        if not isinstance(raw, dict):
-            raise ValueError(f"counts must be an object, got {_echo(raw)}")
-        trials = _check_positive(d["trials"], "trials")
-        counts = {_strict_int(v, "count key"): _strict_int(c, "count") for v, c in raw.items()}
-        if len(counts) != len(raw):
-            raise ValueError(f"two count keys spell the same value in {_echo([*raw])}")
-        return cls(parameter=d["parameter"], n=d["n"], trials=trials, seed=d["seed"],
-                   counts=counts)
 
 
 def run_trials(trial, trials: int, seed: int, *, n: int, parameter: str,

@@ -1,8 +1,10 @@
 """Fixed-point constants against closed forms, and the CLT harness."""
 
+import json
 import math
 from decimal import Decimal, localcontext
 
+import numpy as np
 import pytest
 
 from slithercode import CltReport, ConstantsReport, clt_check, constants, gaussian_cdf, solve_fixed_point
@@ -128,3 +130,11 @@ def test_clt_small_run_is_sane_and_deterministic():
     assert abs(rep.mean_over_n - rep.rho) < 0.02
     j = rep.to_json_dict()
     assert list(j)[-2:] == ["ks_distance", "ks_fitted"]
+
+
+@pytest.mark.parametrize("seed", ("7", np.uint64(7)), ids=("str", "uint64"))
+def test_clt_reports_the_seed_it_ran_with(seed):
+    # the caller's value was reported: '7', and a uint64 that json.dumps refused
+    rep = clt_check(100, 10_000, seed)
+    assert type(rep.seed) is int and rep.seed == 7
+    assert json.loads(json.dumps(rep.to_json_dict()))["seed"] == 7

@@ -230,15 +230,25 @@ def test_simulate_rejects(capsys, argv, fragment):
 
 
 @pytest.mark.parametrize("argv, message", (
-    (("--game", "dice"), "--n is required for the dice game"),
-    (("--game", "cards"), "--deck is required for the cards game"),
-    (("--game", "cards", "--deck", "1 x"),
+    (("--game", "dice", "--trials", "5"), "--n is required for the dice game"),
+    (("--game", "cards", "--trials", "5"), "--deck is required for the cards game"),
+    (("--game", "cards", "--deck", "1 x", "--trials", "5"),
      "--deck '1 x': multiplicity at index 1 must be an integer, got 'x'"),
-), ids=("dice-without-n", "cards-without-deck", "bad-deck"))
+    (("--game", "dice", "--n", "5", "--trials", "0"), "trials must be >= 1, got 0"),
+    (("--game", "dice", "--n", "0", "--trials", "5"), "n must be >= 1, got 0"),
+    (("--game", "cards", "--deck", "2 0 0", "--trials", "0"), "trials must be >= 1, got 0"),
+), ids=("dice-without-n", "cards-without-deck", "bad-deck", "dice-no-trials", "dice-n-0",
+        "cards-no-trials"))
 def test_simulate_draws_no_seed_for_a_run_it_refuses(capsys, argv, message):
     # a "seed: <random>" line was printed before the refusal
-    rc, out, err = run_cli(capsys, "simulate", *argv, "--trials", "5")
+    rc, out, err = run_cli(capsys, "simulate", *argv)
     assert (rc, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_sample_draws_no_seed_for_a_run_it_refuses(capsys):
+    # a "seed: <random>" line was printed before the deal refused n
+    rc, out, err = run_cli(capsys, "sample", "--family", "uniform", "--n", "0")
+    assert (rc, out, err) == (2, "", "error: n must be >= 1, got 0\n")
 
 
 @pytest.mark.parametrize("argv, message", (

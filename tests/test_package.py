@@ -20,7 +20,8 @@ sequence of pairs each have one reader, which raises the caller's error
 class, so no entry point catches a strict read to raise it again.  Every
 refused integer is worded by _strict_int alone, naming where it sits, so no
 reader catches its refusal to word it again.  The coupon read and the plane
-deal keep no running count of every position.
+deal keep no running count of every position.  Nothing defines merge,
+__add__ or from_json_dict: no histogram is joined from parts or read back.
 """
 
 import ast
@@ -96,6 +97,16 @@ def test_counting_keeps_no_module_level_list():
     lists = [node.lineno for node in parse(PACKAGE / "counting.py").body
              if isinstance(node, (ast.Assign, ast.AnnAssign)) and is_list(node.value)]
     assert not lists, f"counting.py assigns a list at module level on lines {lists}"
+
+
+def test_no_histogram_is_joined_or_read_back():
+    # run_trials tallies a run whole; tallies of index ranges add up as Counters
+    names = {"merge", "__add__", "from_json_dict"}
+    found = [(path.name, node.lineno) for path in MODULES for node in ast.walk(parse(path))
+             if isinstance(node, ast.FunctionDef) and node.name in names
+             or isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+             and node.id in names]
+    assert not found, f"a histogram join or reader is back: {found}"
 
 
 def lines_with(phrase: str) -> list[tuple[str, int]]:

@@ -54,7 +54,6 @@ from slithercode.games import (binary_lr_deal, dice_deal, full_binary_deal, full
 
 RNG = np.random.default_rng(0)
 PATH3 = validate_tree({"n": 3, "parent": {"2": 1, "3": 2}})
-HISTOGRAM = {"parameter": "alpha", "n": 5, "trials": 2, "seed": 3, "counts": {"1": 2}}
 
 # (name, what the message calls the size, the call with the size as s, error class)
 ENTRY_POINTS = (
@@ -86,11 +85,9 @@ ENTRY_POINTS = (
     ("run_trials", "trials", lambda s: run_trials(lambda rng: 1, s, 1, n=3, parameter="a"),
      ValueError),
     ("TrialHistogram", "n",
-     lambda s: TrialHistogram(parameter="a", n=s, trials=0, seed=1, counts={}), ValueError),
-    ("from_json_dict-n", "n", lambda s: TrialHistogram.from_json_dict({**HISTOGRAM, "n": s}),
-     ValueError),
-    ("from_json_dict-trials", "trials",
-     lambda s: TrialHistogram.from_json_dict({**HISTOGRAM, "trials": s}), ValueError),
+     lambda s: TrialHistogram(parameter="a", n=s, trials=1, seed=1, counts={1: 1}), ValueError),
+    ("TrialHistogram-trials", "trials",
+     lambda s: TrialHistogram(parameter="a", n=3, trials=s, seed=1, counts={1: 1}), ValueError),
     ("bf_max_capacity_edges", "capacity", lambda s: bf_max_capacity_edges(PATH3, s), ValueError),
 )
 # these read the size strictly, then check minima of their own, such as n >= 100
@@ -213,10 +210,6 @@ INTEGER_POSITIONS = (
     ("edge-end", "end of edge at index 0", lambda v: prufer_encode(3, [(v, 1), (2, 3)]),
      CodeError),
     ("multiplicity", "multiplicity at index 1", lambda v: Deck(3, (1, v, 0)), ValueError),
-    ("count", "count",
-     lambda v: TrialHistogram.from_json_dict({**HISTOGRAM, "counts": {"1": v}}), ValueError),
-    ("count-key", "count key",
-     lambda v: TrialHistogram.from_json_dict({**HISTOGRAM, "counts": {v: 2}}), ValueError),
 )
 
 
