@@ -269,11 +269,10 @@ def cmd_sample(args):
     if args.family == "plane":
         raise ValueError(
             "the plane family has no tree codec here; plane supports simulate only")
-    n = _check_positive(args.n, "n")  # refuse it before a seed is drawn
-    seed = resolve_seed(args.seed)
-    deal = games.DEALS["dice" if args.family == "uniform" else args.family]
-    source = games.RandomSource(seed)
-    sampled = [codec.decode_sequence(deal(n, source.trial_rng(i)).tolist(), n, args.variant)
+    n = _check_positive(args.n, "n")  # refuse it, and the family's size rule, before a seed
+    deal = games.DEALS["dice" if args.family == "uniform" else args.family](n)
+    source = games.RandomSource(resolve_seed(args.seed))
+    sampled = [codec.decode_sequence(deal(source.trial_rng(i)).tolist(), n, args.variant)
                for i in range(args.count)]
     if args.format == "json":
         dicts = [tree_to_json_dict(t) for t in sampled]
@@ -298,12 +297,13 @@ def cmd_simulate(args):
         if args.n is not None and args.n != deck.n:
             raise ValueError(f"--n {args.n} disagrees with deck size n={deck.n}")
         n, cards = deck.n, deck.cards()  # expanded once, shuffled by each deal
-        deal = lambda _, rng: rng.permutation(cards)
+        deal = lambda rng: rng.permutation(cards)
     else:
         if args.n is None:
             raise ValueError(f"--n is required for the {game} game")
-        n, deal = _check_positive(args.n, "n"), games.DEALS[game]
-    hist = games.run_trials(lambda rng: games.coupon_read(deal(n, rng), n), trials,
+        n = _check_positive(args.n, "n")
+        deal = games.DEALS[game](n)  # the family's size rule, before a seed is drawn
+    hist = games.run_trials(lambda rng: games.coupon_read(deal(rng), n), trials,
                             resolve_seed(args.seed), n=n, parameter="alpha")
     if args.format == "json":
         return hist.to_json_dict()

@@ -19,10 +19,10 @@ reads each parent from its slot, scatters the symbols into a parent tuple,
 with the root the one label left at 0.  Decoding never looks at the
 variant's name, only its capacity b.
 
-SlitherCode checks every code built from outside input, once.  A code whose
-symbols are known to be ints in 1..n is built by _code without that check:
-encode's gathered parents, whose range the pruning scan has checked, and the
-exhaustive rooted sweep's Prufer codes in counting, and nothing else.
+SlitherCode checks every code built from outside input, once, as RootedTree
+checks every tree.  The library builds its own unchecked: _code builds
+encode's code, the parents of a checked tree, and counting's Prufer codes;
+trees._rooted builds decode's tree and the Prufer walk's, trees by construction.
 
 The reading rules extract tree parameters from a code without decoding:
 independence and matching numbers, the root and full P-set, and the
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .trees import (COMPLY, NORMAL, RootedTree, Variant, _check_positive, _check_variant, _pairs,
-                    _prune, _sequence, _strict_int, _strict_ints)
+                    _prune, _rooted, _sequence, _strict_int, _strict_ints)
 
 
 class CodeError(ValueError):
@@ -66,11 +66,7 @@ class SlitherCode:
 
 
 def _code(n: int, variant: Variant, symbols: tuple[int, ...]) -> SlitherCode:
-    """The SlitherCode of n, variant and symbols as given, for int symbols known to be in 1..n.
-
-    It skips the constructor's checks, an O(n) re-read of every symbol; outside
-    input goes through SlitherCode(...).
-    """
+    """The SlitherCode as given, without SlitherCode's O(n) checks, for ints known to be in 1..n."""
     code = object.__new__(SlitherCode)
     code.__dict__.update(n=n, variant=variant, symbols=symbols)  # frozen, so not by setattr
     return code
@@ -85,11 +81,9 @@ def slither_encode(tree: RootedTree, variant: Variant = NORMAL):
     the non-root vertices.
     """
     n, parent = tree.n, tree.parent
-    # _prune checks the variant, and raises unless every deleted vertex's parent is in 1..n
-    _, order = _prune(n, parent, variant)
-    # a tree built by hand may hold True or numpy labels, which SlitherCode refuses or reads
-    symbols = tuple(_strict_ints(tuple(map(parent.__getitem__, order)), "symbol", CodeError))
-    return _code(n, variant, symbols), tuple(order)
+    _, order = _prune(n, parent, variant)  # checks the variant
+    # a RootedTree is checked where it is built, so every deleted vertex's parent is an int in 1..n
+    return _code(n, variant, tuple(map(parent.__getitem__, order))), tuple(order)
 
 
 def slither_decode(code: SlitherCode) -> RootedTree:
@@ -107,7 +101,7 @@ def slither_decode(code: SlitherCode) -> RootedTree:
     for v, p in zip(order, sym):
         parent[v] = p
     # the scan deletes n - 1 distinct labels, so the root is the one left at 0
-    return RootedTree(n=n, root=parent.index(0, 1), parent=tuple(parent))
+    return _rooted(n, parent.index(0, 1), tuple(parent))
 
 
 def decode_sequence(symbols, n: int | None = None, variant: Variant = NORMAL) -> RootedTree:
@@ -307,8 +301,8 @@ def prufer_encode(n: int, edges) -> tuple[int, ...]:
                 stack.append(w)
     if 0 in parent[1:n]:
         raise CodeError(f"the {n - 1} edges do not connect all {n} vertices")
-    tree = RootedTree(n=n, root=n, parent=tuple(parent))
-    return slither_encode(tree, Variant(n))[0].symbols[:-1]
+    # n - 1 edges that connect n vertices are a tree
+    return slither_encode(_rooted(n, n, tuple(parent)), Variant(n))[0].symbols[:-1]
 
 
 def prufer_decode(symbols) -> list[tuple[int, int]]:

@@ -273,15 +273,15 @@ def plane_trial(n: int, rng: np.random.Generator) -> int:
     return coupon_read(plane_deal(n, rng), n)
 
 
-# Each family's deal as deal(n, rng): the n-1 cards whose coupon read is the
-# family's game.  Decoded at any variant they draw the family's trees with
-# one law, as a vertex's symbol count is its out-degree under every variant;
-# plane's deal has no tree codec here.
+# DEALS[family](n) reads n once by the family's size rule and returns its deal(rng):
+# the n-1 cards whose coupon read is the family's game.  Decoded at any variant
+# they draw the family's trees with one law, as a vertex's symbol count is its
+# out-degree under every variant; plane's deal has no tree codec here.
 DEALS = {
-    "dice": dice_deal,
-    "full-binary": lambda n, rng: full_binary_deal(full_binary_m(n), rng),
-    "binary-lr": binary_lr_deal,
-    "plane": plane_deal,
+    "dice": lambda n: functools.partial(dice_deal, _check_positive(n, "n")),
+    "full-binary": lambda n: functools.partial(full_binary_deal, full_binary_m(n)),
+    "binary-lr": lambda n: functools.partial(binary_lr_deal, _check_positive(n, "n")),
+    "plane": lambda n: functools.partial(plane_deal, _check_positive(n, "n")),
 }
 
 

@@ -3,11 +3,13 @@
 Trees live on vertex labels 1..n with a designated root, held as one
 label-indexed tuple: parent[v] is v's parent, and entries 0 and root are 0.
 The pruning scan, the links and the codes all index that tuple, and
-validate_tree is the one way in from a child -> parent map.  The slither game
-moves a token from the root toward the leaves, one edge per move, and the
-player who cannot move loses; in the capacity-b variant each vertex may be
-entered up to b times before it is used up.  All variants collapse to one
-classification rule on the rooted tree:
+validate_tree is the one way in from a child -> parent map.  A tree is checked
+once, where it is built, so the scan trusts it: RootedTree(...) runs
+validate_tree's checks, and _rooted builds the library's own trees without
+them.  The slither game moves a token from the root toward the leaves, one
+edge per move, and the player who cannot move loses; in the capacity-b variant
+each vertex may be entered up to b times before it is used up.  All variants
+collapse to one classification rule on the rooted tree:
 
     a vertex is a P-position iff at most b-1 of its children are P-positions
 
@@ -31,7 +33,7 @@ import re
 import sys
 from collections.abc import Mapping
 from dataclasses import dataclass
-from itertools import islice
+from itertools import compress, islice
 
 import numpy as np
 
@@ -155,9 +157,9 @@ class RootedTree:
 
     parent has n + 1 entries: parent[v] is v's parent, and parent[0] and
     parent[root] are 0.  A tree is hashable, so it serves as its own key.
-    Only that shape is checked here, with n and root exact ints, as a code
-    encoded from the tree takes its n unread; the entries are read by the
-    pruning scan.  Use validate_tree to build a tree from a child -> parent
+    That shape is checked here, with n and root exact ints, then every entry
+    is read by _strict_ints and stored as an int, then validate_tree's checks
+    run, in _tree.  Use validate_tree to build a tree from a child -> parent
     map or other untrusted input.
     """
 
@@ -176,6 +178,9 @@ class RootedTree:
             raise TreeError(f"parent must be a tuple of n + 1 = {n + 1} labels, 0 at "
                             f"entries 0 and root {root}, got {_echo(p)}; "
                             "build a tree from a child -> parent map with validate_tree")
+        p = _strict_ints(p, "parent entry", TreeError)  # the index is the vertex's label
+        kids = list(compress(range(n + 1), p))  # each label whose entry is not 0, and its entry
+        object.__setattr__(self, "parent", _tree(n, kids, list(filter(None, p)), None).parent)
 
     def children_lists(self) -> list[list[int]]:
         """Adjacency indexed by label, each list ascending; entry 0 is unused padding."""
@@ -187,6 +192,13 @@ class RootedTree:
     def edges(self) -> list[tuple[int, int]]:
         """Edges as (child, parent) pairs, sorted by child."""
         return [(c, p) for c, p in enumerate(self.parent) if p]
+
+
+def _rooted(n: int, root: int, parent: tuple[int, ...]) -> RootedTree:
+    """The RootedTree as given, without RootedTree's O(n) checks, for ints known to be a tree."""
+    tree = object.__new__(RootedTree)
+    tree.__dict__.update(n=n, root=root, parent=parent)  # frozen, so not by setattr
+    return tree
 
 
 def _strict_ints(values, what: str, error: type[ValueError] = ValueError):
@@ -342,7 +354,7 @@ def _tree(n: int, kids, pars, declared) -> RootedTree:
         named = (f"vertices {cycle}" if len(cycle) <= 10
                  else f"{len(cycle)} vertices, the first 10 are {cycle[:10]}")
         raise TreeError(f"cycle detected through {named}")
-    return RootedTree(n=n, root=root, parent=parent)
+    return _rooted(n, root, parent)
 
 
 def _entries(n: int, kids, pars):
@@ -452,43 +464,32 @@ def _prune(n: int, parents, variant: Variant, by_slot: bool = False):
     its P-child count is final and it is P iff the count is below b.  Only
     the parent of a deleted vertex can become ready, and if it lies below
     the scan pointer it is the smallest ready vertex, so a forward pointer
-    plus that one candidate replaces a heap.  A label that is not an integer
-    in 0..n, a cycle or a second root raises TreeError.
+    plus that one candidate replaces a heap.
     """
     b = _check_variant(variant).b
     pending, pcount, order = [0] * (n + 1), [0] * (n + 1), [0] * (n - 1)
-    try:  # a label past n overruns pending; one below 0 would wrap, and a code's are in 1..n
-        for p in parents:
-            pending[p] += 1
-        if not by_slot and min(parents) < 0:
-            raise IndexError
-    except (LookupError, TypeError):
-        raise TreeError(f"a parent label is not an integer in 0..{n}") from None
-    left, right, zeros = 0, n - 2, pending[0]
-    try:
-        ptr = v = pending.index(0, 1)
-        for _ in range(n - 1):
-            if pcount[v] < b:
-                p = parents[left if by_slot else v]
-                pcount[p] += 1
-                order[left] = v
-                left += 1
-            else:
-                p = parents[right if by_slot else v]
-                order[right] = v
-                right -= 1
-            pending[p] -= 1
-            if pending[p] == 0 and p < ptr:
-                v = p
-            else:
+    for p in parents:
+        pending[p] += 1
+    left, right = 0, n - 2
+    ptr = v = pending.index(0, 1)
+    for _ in range(n - 1):
+        if pcount[v] < b:
+            p = parents[left if by_slot else v]
+            pcount[p] += 1
+            order[left] = v
+            left += 1
+        else:
+            p = parents[right if by_slot else v]
+            order[right] = v
+            right -= 1
+        pending[p] -= 1
+        if pending[p] == 0 and p < ptr:
+            v = p
+        else:
+            ptr += 1
+            while pending[ptr]:
                 ptr += 1
-                while pending[ptr]:
-                    ptr += 1
-                v = ptr
-    except (LookupError, ValueError):  # the scan overran or never began
-        raise TreeError("pruning did not reach every vertex") from None
-    if pending[0] != zeros:  # each deleted vertex with parent 0 took one off pending[0]
-        raise TreeError("pruning deleted a vertex with no parent: a second root")
+            v = ptr
     return pcount, order
 
 

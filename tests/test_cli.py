@@ -178,7 +178,7 @@ def test_sample_count_is_bounded_before_any_tree_is_drawn(capsys, monkeypatch):
 
 
 def test_sample_variant_applies_to_every_family(capsys):
-    deal = games.DEALS["full-binary"](9, games.RandomSource(2).trial_rng(0)).tolist()
+    deal = games.DEALS["full-binary"](9)(games.RandomSource(2).trial_rng(0)).tolist()
     comply = decode_sequence(deal, 9, COMPLY)
     assert comply != decode_sequence(deal, 9, NORMAL)
     rc, out, _ = run_cli(capsys, "sample", "--family", "full-binary", "--n", "9",
@@ -237,8 +237,11 @@ def test_simulate_rejects(capsys, argv, fragment):
     (("--game", "dice", "--n", "5", "--trials", "0"), "trials must be >= 1, got 0"),
     (("--game", "dice", "--n", "0", "--trials", "5"), "n must be >= 1, got 0"),
     (("--game", "cards", "--deck", "2 0 0", "--trials", "0"), "trials must be >= 1, got 0"),
+    (("--game", "full-binary", "--n", "4", "--trials", "5"),
+     "full-binary needs odd n = 2m+1 >= 3, got 4"),
+    (("--game", "full-binary", "--n", "0", "--trials", "5"), "n must be >= 1, got 0"),
 ), ids=("dice-without-n", "cards-without-deck", "bad-deck", "dice-no-trials", "dice-n-0",
-        "cards-no-trials"))
+        "cards-no-trials", "full-binary-even-n", "full-binary-n-0"))
 def test_simulate_draws_no_seed_for_a_run_it_refuses(capsys, argv, message):
     # a "seed: <random>" line was printed before the refusal
     rc, out, err = run_cli(capsys, "simulate", *argv)
@@ -249,6 +252,17 @@ def test_sample_draws_no_seed_for_a_run_it_refuses(capsys):
     # a "seed: <random>" line was printed before the deal refused n
     rc, out, err = run_cli(capsys, "sample", "--family", "uniform", "--n", "0")
     assert (rc, out, err) == (2, "", "error: n must be >= 1, got 0\n")
+
+
+@pytest.mark.parametrize("n, message", (
+    ("4", "full-binary needs odd n = 2m+1 >= 3, got 4"),
+    ("1", "full-binary needs odd n = 2m+1 >= 3, got 1"),
+    ("0", "n must be >= 1, got 0"),
+))
+def test_sample_checks_the_familys_size_before_a_seed(capsys, n, message):
+    # the parity rule lived inside the deal, so "seed: <random>" was printed first
+    rc, out, err = run_cli(capsys, "sample", "--family", "full-binary", "--n", n)
+    assert (rc, out, err) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("argv, message", (

@@ -14,6 +14,7 @@ from slithercode import (
     ReadResult,
     RootedTree,
     SlitherCode,
+    TreeError,
     capacity,
     classify,
     decode_sequence,
@@ -204,11 +205,11 @@ def test_an_encoded_code_equals_the_one_built_from_its_symbols(n):
 
 
 def test_a_hand_built_trees_labels_are_read_as_a_code_reads_them():
-    # the shape check does not read entries, so encode reads their type as SlitherCode does
+    # the constructor reads each entry as SlitherCode reads a symbol, so encode gathers ints
     code = slither_encode(RootedTree(n=3, root=1, parent=(0, 0, 1, np.int64(1))))[0]
     assert code.symbols == (1, 1) and all(type(s) is int for s in code.symbols)
-    with pytest.raises(CodeError, match="^symbol at index 0 must be an integer, got True$"):
-        slither_encode(RootedTree(n=3, root=1, parent=(0, 0, True, 1)))
+    with pytest.raises(TreeError, match="^parent entry at index 2 must be an integer, got True$"):
+        RootedTree(n=3, root=1, parent=(0, 0, True, 1))
 
 
 def test_single_vertex_conventions():
@@ -383,7 +384,7 @@ def test_prefix_alpha_reads_each_familys_deals_as_the_loop_does(family, n):
     n += family == "full-binary"  # that family needs odd n
     source = RandomSource(26)
     for i in range(25):
-        cards = DEALS[family](n, source.trial_rng(i))
+        cards = DEALS[family](n)(source.trial_rng(i))
         assert prefix_alpha(cards, n) == prefix_alpha(cards.tolist(), n)
 
 

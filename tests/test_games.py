@@ -309,7 +309,7 @@ def test_each_trial_is_the_coupon_read_of_its_deal(deal, trial, size, n):
         cards = deal(size, RandomSource(3).trial_rng(i))
         assert len(cards) == n - 1
         assert trial(size, RandomSource(3).trial_rng(i)) == coupon_read(cards, n)
-        assert np.array_equal(DEALS[family](n, RandomSource(3).trial_rng(i)), cards)
+        assert np.array_equal(DEALS[family](n)(RandomSource(3).trial_rng(i)), cards)
 
 
 def test_plane_deal_draws_the_cards_of_a_running_black_count():

@@ -11,9 +11,11 @@ variant rule.  The slot rule lives in the pruning scan alone, with no
 callback and no closure.  The strategic set and the path cover both read the
 one link pass, trees._links, and run_trials builds each trial's generator
 through RandomSource.trial_rng.
-A tree is one label-indexed parent tuple, built in three places, with no
-second form to adapt it back to.  A code skips its checks in codec._code
-alone, for encode and the rooted sweep, whose symbols the library built.
+A tree is one label-indexed parent tuple, with no second form to adapt it
+back to.  A tree skips its checks in trees._rooted alone, for validate_tree,
+decode and the Prufer walk, so the pruning scan guards against nothing, and
+a code skips its checks in codec._code alone, for encode and the rooted
+sweep, whose symbols the library built.
 Each command of the command line returns its output, and run alone writes
 it to stdout.  A sequence of values and a
 sequence of pairs each have one reader, which raises the caller's error
@@ -197,32 +199,43 @@ def test_a_tree_has_no_second_form():
     assert not found, f"a second tree form is back: {found}"
 
 
-def test_trees_are_built_in_three_places():
-    # validation, decode and the Prufer encoder's walk each build the parent tuple directly
-    where = set()
-    for path in MODULES:
-        for top in parse(path).body:
-            for node in ast.walk(top):
-                if isinstance(node, ast.Call) and "RootedTree" in (
-                        getattr(node.func, "id", None), getattr(node.func, "attr", None)):
-                    where.add(f"{path.stem}.{getattr(top, 'name', top.lineno)}")
-    assert where == {"trees._tree", "codec.slither_decode", "codec.prufer_encode"}, where
+def _sites(match) -> set[str]:
+    """The top-level definitions, as module.name, that hold a node for which match is true."""
+    return {f"{path.stem}.{getattr(top, 'name', top.lineno)}"
+            for path in MODULES for top in parse(path).body
+            if any(map(match, ast.walk(top)))}
+
+
+def _names(name: str):
+    return lambda node: name in (getattr(node, "id", None), getattr(node, "attr", None))
+
+
+def test_new_is_called_only_by_the_unchecked_constructors():
+    news = _sites(_names("__new__"))
+    assert news == {"codec._code", "trees._rooted"}, f"__new__ is called in {sorted(news)}"
+
+
+def test_trees_are_built_unchecked_in_one_place_for_three_callers():
+    # trees._rooted skips RootedTree's checks, so only trees known to be trees may reach it:
+    # validate_tree's once _tree has checked them, decode's and the Prufer encoder's walk
+    callers = _sites(_names("_rooted"))
+    assert callers == {"trees._tree", "codec.slither_decode", "codec.prufer_encode"}, callers
 
 
 def test_codes_are_built_unchecked_in_one_place_for_two_callers():
     # codec._code skips SlitherCode's checks, so only the library's own symbols may reach it:
     # encode's gathered parents and the sweep's Prufer digits
-    news, callers = set(), set()
-    for path in MODULES:
-        for top in parse(path).body:
-            where = f"{path.stem}.{getattr(top, 'name', top.lineno)}"
-            for node in ast.walk(top):
-                if isinstance(node, ast.Attribute) and node.attr == "__new__":
-                    news.add(where)
-                if "_code" in (getattr(node, "id", None), getattr(node, "attr", None)):
-                    callers.add(where)
-    assert news == {"codec._code"}, f"__new__ is called in {sorted(news)}"
+    callers = _sites(_names("_code"))
     assert callers == {"codec.slither_encode", "counting.exact_rooted_distribution"}, callers
+
+
+def test_the_pruning_scan_trusts_its_tree():
+    # every RootedTree is a tree, checked where it is built, so _prune guards against nothing
+    func = next(node for node in parse(PACKAGE / "trees.py").body
+                if isinstance(node, ast.FunctionDef) and node.name == "_prune")
+    guards = sorted({type(node).__name__ for node in ast.walk(func)
+                     if isinstance(node, (ast.Try, ast.ExceptHandler, ast.Raise))})
+    assert not guards, f"_prune holds {guards}"
 
 
 def test_the_cli_has_one_output_path():
