@@ -18,15 +18,15 @@ from .counting import (DistributionTable, count_full_binary, count_independence,
                        expected_alpha, full_binary_table, independence_table,
                        stirling2)
 from .games import (ChiSquareResult, Deck, RandomSource, TrialHistogram,
-                    binary_lr_trial, card_trial, chi_square, coupon_read,
-                    dice_trial, fresh_seed, full_binary_trial, plane_trial,
-                    run_trials, sample_uniform_labelled_tree,
-                    sample_uniform_rooted_tree, tv_distance)
+                    binary_lr_trial, card_trial, chi_square, dice_trial,
+                    fresh_seed, full_binary_trial, plane_trial, run_trials,
+                    sample_uniform_labelled_tree, sample_uniform_rooted_tree,
+                    tv_distance)
 from .trees import (COMPLY, NORMAL, PositionMap, RootedTree, TreeError,
-                    Variant, bf_max_capacity_edges, bf_max_independent, capacity,
-                    classify, independence_number, matching_certificate,
-                    matching_number, max_capacity_edges, path_cover_decomposition,
-                    strategic_set, validate_tree)
+                    Variant, bf_max_capacity_edges, bf_max_independent, classify,
+                    independence_number, matching_certificate, matching_number,
+                    max_capacity_edges, path_cover_decomposition, strategic_set,
+                    validate_tree)
 
 __version__ = "0.1.0"
 
@@ -41,12 +41,12 @@ __all__ = [
     "exact_dice_distribution", "exact_rooted_distribution", "expected_alpha",
     "full_binary_table", "independence_table", "stirling2",
     "ChiSquareResult", "Deck", "RandomSource", "TrialHistogram",
-    "binary_lr_trial", "card_trial", "chi_square", "coupon_read", "dice_trial",
-    "fresh_seed", "full_binary_trial", "plane_trial", "run_trials",
+    "binary_lr_trial", "card_trial", "chi_square", "dice_trial", "fresh_seed",
+    "full_binary_trial", "plane_trial", "run_trials",
     "sample_uniform_labelled_tree", "sample_uniform_rooted_tree", "tv_distance",
     "COMPLY", "NORMAL", "PositionMap", "RootedTree", "TreeError",
-    "Variant", "bf_max_capacity_edges", "bf_max_independent", "capacity",
-    "classify", "independence_number", "matching_certificate", "matching_number",
+    "Variant", "bf_max_capacity_edges", "bf_max_independent", "classify",
+    "independence_number", "matching_certificate", "matching_number",
     "max_capacity_edges", "path_cover_decomposition", "strategic_set",
     "validate_tree",
 ]

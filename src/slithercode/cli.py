@@ -289,6 +289,8 @@ def cmd_simulate(args):
     if game == "cards":
         if args.deck is None:
             raise ValueError("--deck is required for the cards game")
+        if "" in map(str.strip, args.deck.split(",")):  # the field count is n: none may be empty
+            raise ValueError(f"--deck {_echo(args.deck)}: a multiplicity is empty")
         toks = tuple(args.deck.replace(",", " ").split())
         try:  # Deck reads each token strictly
             deck = games.Deck(n=len(toks), multiplicities=toks)
@@ -303,7 +305,7 @@ def cmd_simulate(args):
             raise ValueError(f"--n is required for the {game} game")
         n = _check_positive(args.n, "n")
         deal = games.DEALS[game](n)  # the family's size rule, before a seed is drawn
-    hist = games.run_trials(lambda rng: games.coupon_read(deal(rng), n), trials,
+    hist = games.run_trials(lambda rng: codec.prefix_alpha(deal(rng), n), trials,
                             resolve_seed(args.seed), n=n, parameter="alpha")
     if args.format == "json":
         return hist.to_json_dict()

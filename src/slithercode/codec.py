@@ -134,7 +134,8 @@ def prefix_alpha(symbols, n: int) -> int:
     This is both the independence-number read on a normal code and the
     stopping rule of the family card games, which share this implementation
     on purpose.  Symbols may be any hashables; only distinctness matters.
-    Raises if the sequence ends before the threshold is met.
+    An array must be 1-D, a row of symbols.  Raises if the sequence ends
+    before the threshold is met.
 
     A long integer array with values in 0..n is read off its first
     occurrences.  Let f_1 < f_2 < ... be the 0-based positions where a new
@@ -146,11 +147,14 @@ def prefix_alpha(symbols, n: int) -> int:
     stops when 2m < n, which is refused before anything is allocated.
     """
     n = _strict_int(n, "n")  # the size rule, so 150.0 and True are refused on either path
+    array = isinstance(symbols, np.ndarray)
+    if array and symbols.ndim != 1:
+        raise ValueError(f"symbols must be a 1-D array, got shape {symbols.shape}")
     if n <= 1:
         _check_positive(n, "n")
         return 1
-    if (isinstance(symbols, np.ndarray) and symbols.shape[0] >= 64
-            and symbols.dtype.kind in "iu" and 0 <= symbols.min() and symbols.max() <= n):
+    if (array and symbols.shape[0] >= 64 and symbols.dtype.kind in "iu"
+            and 0 <= symbols.min() and symbols.max() <= n):
         m = symbols.shape[0]
         if 2 * m < n:
             raise ValueError(_EXHAUSTED)

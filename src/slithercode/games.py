@@ -99,14 +99,7 @@ def _seed_words_type() -> type:
                 raise ValueError("only PCG64's request, 4 uint64 words, was computed ahead")
             return self.words
 
-        def __reduce__(self):  # pickle finds the class through the module function
-            return _seed_words, (self.words,)
-
     return SeedWords
-
-
-def _seed_words(words: np.ndarray):
-    return _seed_words_type()(words)
 
 
 def _word64(value, what: str) -> int:
@@ -140,22 +133,11 @@ class RandomSource:
         """
         block, row = divmod(_word64(index, "trial index"), _BLOCK)
         words = _block_words(self.seed, block)[row]
-        return np.random.Generator(np.random.PCG64(_seed_words(words)))
+        return np.random.Generator(np.random.PCG64(_seed_words_type()(words)))
 
 
 def fresh_seed() -> int:
     return secrets.randbits(63)
-
-
-def coupon_read(sequence, n: int) -> int:
-    """First a with distinct(sequence[:a]) >= n - a.
-
-    Same rule, same implementation as the read_alpha codec operation; the
-    equality of game value and independence read is the point, not an
-    accident.  prefix_alpha reads n by _strict_int, so a trial hands on its
-    caller's n as it came.
-    """
-    return prefix_alpha(sequence, n)
 
 
 def dice_deal(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -165,7 +147,7 @@ def dice_deal(n: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def dice_trial(n: int, rng: np.random.Generator) -> int:
-    return coupon_read(dice_deal(n, rng), n)
+    return prefix_alpha(dice_deal(n, rng), n)
 
 
 @dataclass(frozen=True)
@@ -210,7 +192,7 @@ class Deck:
 
 
 def card_trial(deck: Deck, rng: np.random.Generator) -> int:
-    return coupon_read(rng.permutation(deck.cards()), deck.n)
+    return prefix_alpha(rng.permutation(deck.cards()), deck.n)
 
 
 def full_binary_m(n: int) -> int:
@@ -228,8 +210,8 @@ def full_binary_deal(m: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def full_binary_trial(m: int, rng: np.random.Generator) -> int:
-    m = _check_positive(m, "m")
-    return coupon_read(full_binary_deal(m, rng), 2 * m + 1)
+    cards = full_binary_deal(m, rng)  # reads m; its 2m cards are the n - 1 of n = 2m + 1
+    return prefix_alpha(cards, len(cards) + 1)
 
 
 def binary_lr_deal(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -243,7 +225,7 @@ def binary_lr_deal(n: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def binary_lr_trial(n: int, rng: np.random.Generator) -> int:
-    return coupon_read(binary_lr_deal(n, rng), n)
+    return prefix_alpha(binary_lr_deal(n, rng), n)
 
 
 def plane_deal(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -270,7 +252,7 @@ def plane_deal(n: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def plane_trial(n: int, rng: np.random.Generator) -> int:
-    return coupon_read(plane_deal(n, rng), n)
+    return prefix_alpha(plane_deal(n, rng), n)
 
 
 # DEALS[family](n) reads n once by the family's size rule and returns its deal(rng):

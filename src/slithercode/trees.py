@@ -33,7 +33,7 @@ import re
 import sys
 from collections.abc import Mapping
 from dataclasses import dataclass
-from itertools import compress, islice
+from itertools import islice
 
 import numpy as np
 
@@ -147,10 +147,6 @@ NORMAL = Variant(1)
 COMPLY = Variant(2)
 
 
-def capacity(b: int) -> Variant:
-    return Variant(b)
-
-
 @dataclass(frozen=True)
 class RootedTree:
     """Rooted tree on labels 1..n given by its label-indexed parent tuple.
@@ -179,8 +175,12 @@ class RootedTree:
                             f"entries 0 and root {root}, got {_echo(p)}; "
                             "build a tree from a child -> parent map with validate_tree")
         p = _strict_ints(p, "parent entry", TreeError)  # the index is the vertex's label
-        kids = list(compress(range(n + 1), p))  # each label whose entry is not 0, and its entry
-        object.__setattr__(self, "parent", _tree(n, kids, list(filter(None, p)), None).parent)
+        try:  # read once: _entries takes int64 columns as they are
+            up = np.asarray(p, dtype=np.int64)
+        except OverflowError:  # a label past int64, which _entries walks to name
+            up = np.asarray(p, dtype=object)
+        kids = np.flatnonzero(up)  # each label whose entry is not 0, and its entry
+        object.__setattr__(self, "parent", _tree(n, kids, up[kids], None)[1])
 
     def children_lists(self) -> list[list[int]]:
         """Adjacency indexed by label, each list ascending; entry 0 is unused padding."""
@@ -310,11 +310,12 @@ def validate_tree(data) -> RootedTree:
                             f"got {_echo(raw)}") from None
         kids, pars = _pairs(entries, "parent entry", "(child, parent)", TreeError)
 
-    return _tree(n, kids, pars, data.get("root"))
+    return _rooted(n, *_tree(n, kids, pars, data.get("root")))
 
 
-def _tree(n: int, kids, pars, declared) -> RootedTree:
-    """The tree of the (child, parent) columns, each check written once, in message order."""
+def _tree(n: int, kids, pars, declared) -> tuple[int, tuple[int, ...]]:
+    """(root, parent tuple) of the (child, parent) columns, each check written once, in
+    message order."""
     c, p = _entries(n, kids, pars)
     # every entry has a distinct child in 1..n, so n - len(c) vertices
     # lack a parent, and the first 10 of them lie among labels 1..len(c)+10
@@ -354,7 +355,7 @@ def _tree(n: int, kids, pars, declared) -> RootedTree:
         named = (f"vertices {cycle}" if len(cycle) <= 10
                  else f"{len(cycle)} vertices, the first 10 are {cycle[:10]}")
         raise TreeError(f"cycle detected through {named}")
-    return _rooted(n, root, parent)
+    return root, parent
 
 
 def _entries(n: int, kids, pars):

@@ -95,7 +95,7 @@ def _full_binary(full: bool):
     mmax = 4 if full else 3
     for m in range(1, mmax + 1):
         deck = games.Deck.full_binary(m)
-        tally = Counter(games.coupon_read(deal, deck.n)
+        tally = Counter(codec.prefix_alpha(deal, deck.n)
                         for deal in set(permutations(deck.cards().tolist())))
         if tally != counting.full_binary_table(m).counts:
             return False, f"deck table mismatch at m={m}"

@@ -26,14 +26,12 @@ from slithercode import (
     Variant,
     bf_max_capacity_edges,
     binary_lr_trial,
-    capacity,
     classify,
     cli,
     clt_check,
     constants,
     count_full_binary,
     count_independence,
-    coupon_read,
     decode_sequence,
     exact_dice_distribution,
     exact_rooted_distribution,
@@ -43,6 +41,7 @@ from slithercode import (
     independence_table,
     max_capacity_edges,
     plane_trial,
+    prefix_alpha,
     read_alpha,
     read_capacity_edges,
     read_matching_via_beta,
@@ -80,7 +79,7 @@ def _report(num, name, ok, detail):
 def test_criterion_01_bijection_sweep():
     start = time.perf_counter()
     problems = []
-    for variant in (NORMAL, COMPLY, capacity(3)):
+    for variant in (NORMAL, COMPLY, Variant(3)):
         for n in range(2, 6):
             seen = set()
             for sym in all_codes(n):
@@ -262,7 +261,7 @@ def test_criterion_11_card_families():
     problems = []
     for m in range(1, 5):
         deck = [v for v in range(1, m + 1) for _ in range(2)]
-        tally = Counter(coupon_read(deal, 2 * m + 1) for deal in multiset_permutations(deck))
+        tally = Counter(prefix_alpha(deal, 2 * m + 1) for deal in multiset_permutations(deck))
         if dict(tally) != full_binary_table(m).counts:
             problems.append(f"full-binary deals m={m}")
     targets = (("binary-lr", binary_lr_trial, 4 - 2 * math.sqrt(3)),

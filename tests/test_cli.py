@@ -240,8 +240,16 @@ def test_simulate_rejects(capsys, argv, fragment):
     (("--game", "full-binary", "--n", "4", "--trials", "5"),
      "full-binary needs odd n = 2m+1 >= 3, got 4"),
     (("--game", "full-binary", "--n", "0", "--trials", "5"), "n must be >= 1, got 0"),
+    # the field count is n, and an empty field was dropped: '1,,0' ran a 2-card deck
+    (("--game", "cards", "--deck", "1,,0", "--trials", "2"),
+     "--deck '1,,0': a multiplicity is empty"),
+    (("--game", "cards", "--deck", ",1,0", "--trials", "2"),
+     "--deck ',1,0': a multiplicity is empty"),
+    (("--game", "cards", "--deck", "1,0,", "--trials", "2"),
+     "--deck '1,0,': a multiplicity is empty"),
 ), ids=("dice-without-n", "cards-without-deck", "bad-deck", "dice-no-trials", "dice-n-0",
-        "cards-no-trials", "full-binary-even-n", "full-binary-n-0"))
+        "cards-no-trials", "full-binary-even-n", "full-binary-n-0", "deck-empty-middle",
+        "deck-empty-first", "deck-empty-last"))
 def test_simulate_draws_no_seed_for_a_run_it_refuses(capsys, argv, message):
     # a "seed: <random>" line was printed before the refusal
     rc, out, err = run_cli(capsys, "simulate", *argv)
@@ -273,6 +281,12 @@ def test_clt_draws_no_seed_for_a_run_it_refuses(capsys, argv, message):
     # a "seed: <random>" line was printed before clt_check refused the minima
     rc, out, err = run_cli(capsys, "clt", *argv)
     assert (rc, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_simulate_reads_deck_fields_split_by_commas_or_spaces(capsys):
+    outs = {run_cli(capsys, "simulate", "--game", "cards", "--deck", deck, "--trials", "50",
+                    "--seed", "1") for deck in ("2 2 0 0 0", "2,2,0,0,0", "2, 2, 0, 0, 0")}
+    assert len(outs) == 1 and next(iter(outs))[0] == 0
 
 
 def test_simulate_deck_errors_name_the_flag_and_token(capsys):

@@ -15,7 +15,7 @@ from slithercode import (
     RootedTree,
     SlitherCode,
     TreeError,
-    capacity,
+    Variant,
     classify,
     decode_sequence,
     independence_number,
@@ -37,7 +37,7 @@ from slithercode.trees import _prune
 
 from conftest import random_tree
 
-variants = st.sampled_from((NORMAL, COMPLY, capacity(3)))
+variants = st.sampled_from((NORMAL, COMPLY, Variant(3)))
 
 
 @st.composite
@@ -196,7 +196,7 @@ def test_an_encoded_code_equals_the_one_built_from_its_symbols(n):
         RootedTree(n=n, root=1, parent=(0, 0, *range(1, n))),  # a path
         RootedTree(n=n, root=1, parent=(0, 0) + (1,) * (n - 1))]  # a star
     for tree in shapes:
-        for variant in {NORMAL, COMPLY, capacity(3), capacity(n)}:
+        for variant in {NORMAL, COMPLY, Variant(3), Variant(n)}:
             code = slither_encode(tree, variant)[0]
             checked = SlitherCode(n=tree.n, variant=variant, symbols=code.symbols)
             assert code == checked and hash(code) == hash(checked)
@@ -258,7 +258,7 @@ def definitional_encode(tree, variant):
 def test_encode_matches_the_definition(n, seed, b):
     # past n = 7 many parents become ready behind the pruning scan's pointer
     t = random_tree(n, seed)
-    for variant in (capacity(b), capacity(n)):
+    for variant in (Variant(b), Variant(n)):
         code, aux = slither_encode(t, variant)
         assert (code.symbols, aux) == definitional_encode(t, variant)
 
@@ -267,7 +267,7 @@ def test_encode_matches_the_definition(n, seed, b):
 def test_the_scans_slot_order_is_the_auxiliary_sequence(n, seed, b):
     # read by label from the tree or by slot from its code, the scan places
     # every vertex in the same slot and counts the same P-children
-    t, variant = random_tree(n, seed), capacity(b or n)
+    t, variant = random_tree(n, seed), Variant(b or n)
     code, aux = slither_encode(t, variant)
     by_label = _prune(n, t.parent, variant)
     by_slot = _prune(n, code.symbols, variant, by_slot=True)
@@ -423,11 +423,22 @@ def test_prefix_alpha_exhausted():
 
 @pytest.mark.parametrize("n", (150.0, True, "x"))
 def test_prefix_alpha_reads_n_by_the_size_rule(n):
-    # coupon_read hands n on unread, so the list and array paths read it alike
+    # every trial hands n on unread, so the list and array paths read it alike
     shown = re.escape(repr(n))
     for seq in (list(range(1, 101)), np.arange(1, 101)):
         with pytest.raises(ValueError, match=f"^n must be an integer, got {shown}$"):
             prefix_alpha(seq, n)
+
+
+@pytest.mark.parametrize("symbols", (
+    np.random.default_rng(0).integers(1, 101, (64, 64)),  # read 0, outside a >= 1
+    np.ones((70, 3), dtype=np.int64),  # numpy's "not broadcastable"
+    np.array(5),  # an IndexError on the shape
+), ids=("64x64", "70x3", "0-d"))
+def test_prefix_alpha_refuses_an_array_that_is_not_1d(symbols):
+    shape = re.escape(str(symbols.shape))
+    with pytest.raises(ValueError, match=f"^symbols must be a 1-D array, got shape {shape}$"):
+        prefix_alpha(symbols, 100)
 
 
 # --- classic prufer ---------------------------------------------------------

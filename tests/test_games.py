@@ -3,7 +3,6 @@
 import itertools
 import math
 import os
-import pickle
 import re
 import subprocess
 import sys
@@ -22,7 +21,6 @@ from slithercode import (
     binary_lr_trial,
     card_trial,
     chi_square,
-    coupon_read,
     dice_trial,
     fresh_seed,
     full_binary_trial,
@@ -146,11 +144,8 @@ def test_trial_index_outside_64_bits_is_refused(index):
         RandomSource(5).trial_rng(index)
 
 
-def test_trial_generator_pickles_and_cannot_spawn():
+def test_trial_generator_cannot_spawn():
     rng = RandomSource(8).trial_rng(1500)
-    rng.random(3)
-    copy = pickle.loads(pickle.dumps(rng))
-    assert (copy.integers(0, 1 << 62, size=10) == rng.integers(0, 1 << 62, size=10)).all()
     with pytest.raises(TypeError):
         rng.spawn(1)
 
@@ -204,11 +199,6 @@ def test_dice_trial_bounds(n, seed):
     assert 1 <= a <= n - 1
 
 
-@given(st.lists(st.integers(1, 9), min_size=8, max_size=8))
-def test_coupon_read_is_prefix_alpha(seq):
-    assert coupon_read(seq, 9) == prefix_alpha(seq, 9)
-
-
 @pytest.mark.parametrize("symbols, n, message", (
     ([1, 2], 0, "^n must be >= 1, got 0$"),
     ([1, 2], -4, "^n must be >= 1, got -4$"),
@@ -216,10 +206,9 @@ def test_coupon_read_is_prefix_alpha(seq):
 ))
 def test_the_coupon_read_refuses_n_below_1(symbols, n, message):
     # each of these read 1, as n = 1 does
-    for read in (prefix_alpha, coupon_read):
-        with pytest.raises(ValueError, match=message):
-            read(symbols, n)
-    assert prefix_alpha((), 1) == coupon_read((), 1) == 1
+    with pytest.raises(ValueError, match=message):
+        prefix_alpha(symbols, n)
+    assert prefix_alpha((), 1) == 1
 
 
 def test_single_symbol_deck_always_reads_three():
@@ -276,7 +265,7 @@ def test_deck_reads_n_as_an_int():
 def test_card_trial_matches_the_exhaustive_conditional_law():
     # deck with cards (1,1,1,2): three of the four distinct deals read 3
     d = Deck(n=5, multiplicities=(3, 1, 0, 0, 0))
-    exact = Counter(coupon_read(deal, 5) for deal in multiset_permutations(d.cards()))
+    exact = Counter(prefix_alpha(deal, 5) for deal in multiset_permutations(d.cards()))
     assert exact == {3: 3, 4: 1}
     hist = run_trials(lambda rng: card_trial(d, rng), 4000, 17, n=5, parameter="alpha")
     assert chi_square(hist, exact).ok
@@ -308,7 +297,7 @@ def test_each_trial_is_the_coupon_read_of_its_deal(deal, trial, size, n):
     for i in range(20):
         cards = deal(size, RandomSource(3).trial_rng(i))
         assert len(cards) == n - 1
-        assert trial(size, RandomSource(3).trial_rng(i)) == coupon_read(cards, n)
+        assert trial(size, RandomSource(3).trial_rng(i)) == prefix_alpha(cards, n)
         assert np.array_equal(DEALS[family](n)(RandomSource(3).trial_rng(i)), cards)
 
 

@@ -3,7 +3,7 @@
 No linter is a dependency, so these catch what a deletion leaves behind: an
 export whose definition is gone, or an import that nothing uses any more.
 One more keeps the command line drawing every family through games.DEALS,
-and every game through one coupon_read line; counting keeps no module-level
+and every game through one prefix_alpha line; counting keeps no module-level
 list, so no cache, and its closed forms share one integrality check; a tree's
 root count, declared root and cycles are each checked in one place, and so is
 the size rule, which the command line's integer flags follow too, and the
@@ -24,6 +24,8 @@ refused integer is worded by _strict_int alone, naming where it sits, so no
 reader catches its refusal to word it again.  The coupon read and the plane
 deal keep no running count of every position.  Nothing defines merge,
 __add__ or from_json_dict: no histogram is joined from parts or read back.
+Each rule has one name: no alias such as coupon_read or capacity, and no
+pickling path for a generator that nothing pickles.
 """
 
 import ast
@@ -186,7 +188,8 @@ def test_run_trials_builds_each_generator_through_trial_rng():
     attrs = {node.attr for node in ast.walk(func) if isinstance(node, ast.Attribute)}
     names = {node.id for node in ast.walk(func) if isinstance(node, ast.Name)}
     assert "trial_rng" in attrs, f"run_trials reads {sorted(attrs)}"
-    built = (attrs | names) & {"Generator", "PCG64", "default_rng", "_block_words", "_seed_words"}
+    built = (attrs | names) & {"Generator", "PCG64", "default_rng", "_block_words",
+                               "_seed_words_type"}
     assert not built, f"run_trials builds generators itself: {sorted(built)}"
 
 
@@ -219,7 +222,8 @@ def test_trees_are_built_unchecked_in_one_place_for_three_callers():
     # trees._rooted skips RootedTree's checks, so only trees known to be trees may reach it:
     # validate_tree's once _tree has checked them, decode's and the Prufer encoder's walk
     callers = _sites(_names("_rooted"))
-    assert callers == {"trees._tree", "codec.slither_decode", "codec.prufer_encode"}, callers
+    assert callers == {"trees.validate_tree", "codec.slither_decode",
+                       "codec.prufer_encode"}, callers
 
 
 def test_codes_are_built_unchecked_in_one_place_for_two_callers():
@@ -319,3 +323,15 @@ def test_the_coupon_read_and_the_plane_deal_keep_no_running_count(path, name):
              if isinstance(node, (ast.Name, ast.Attribute))
              and "cumsum" in (getattr(node, "id", None), getattr(node, "attr", None))]
     assert not found, f"{name} calls cumsum on lines {found}"
+
+
+def test_each_rule_has_one_name():
+    # coupon_read was prefix_alpha and capacity(b) was Variant(b) under a second name, and
+    # SeedWords.__reduce__ and games._seed_words pickled a generator, which nothing does
+    gone = {"coupon_read", "capacity", "_seed_words", "__reduce__"}
+    found = [(path.name, node.lineno) for path in MODULES for node in ast.walk(parse(path))
+             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in gone
+             or isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store) and node.id in gone
+             or isinstance(node, ast.alias) and (node.asname or node.name) in gone]
+    assert not found, f"a second name is back: {found}"
+    assert len(slithercode.__all__) == 60, len(slithercode.__all__)

@@ -20,7 +20,6 @@ from slithercode import (
     Variant,
     bf_max_capacity_edges,
     bf_max_independent,
-    capacity,
     classify,
     independence_number,
     matching_certificate,
@@ -361,8 +360,8 @@ def test_variant_rejects_bool():
 def test_variant_names():
     assert NORMAL.name == "normal"
     assert COMPLY.name == "comply"
-    assert capacity(3).name == "capacity(3)"
-    assert capacity(1) == NORMAL and capacity(2) == COMPLY
+    assert Variant(3).name == "capacity(3)"
+    assert Variant(1) == NORMAL and Variant(2) == COMPLY
 
 
 # --- classification ---------------------------------------------------------
@@ -383,7 +382,7 @@ def test_classify_worked_example(fig1):
     }
     assert pmc.p_subset(1) == frozenset({3, 4, 6})
 
-    pm3 = classify(t, capacity(3))
+    pm3 = classify(t, Variant(3))
     assert pm3.n_set() == frozenset()
     assert pm3.label(1) == "P2"
 
@@ -499,11 +498,15 @@ def test_unvalidated_second_root_raises_tree_error(call):
     ((0, 0, -1, 1), r"label out of range 1\.\.3 in parent entry \(2, -1\)"),
     ((0, 0, -4, 1), r"label out of range 1\.\.3 in parent entry \(2, -4\)"),
     ((0, 0, 4, 1), r"label out of range 1\.\.3 in parent entry \(2, 4\)"),
+    # past int64, so an int64 array cannot hold them, and the entry walk names them
+    ((0, 0, 2**63, 1), rf"label out of range 1\.\.3 in parent entry \(2, {2**63}\)"),
+    ((0, 0, 2**70, 1), rf"label out of range 1\.\.3 in parent entry \(2, {2**70}\)"),
     ((0, 0, 1.5, 1), "parent entry at index 2 must be an integer, got 1.5"),
     ((0, 0, "x", 1), "parent entry at index 2 must be an integer, got 'x'"),
     # True == 1, so the shape check passed it, and classify read it as 1 while encode refused it
     ((0, 0, True, 1), "parent entry at index 2 must be an integer, got True"),
-), ids=("minus-1", "wraps-to-0", "past-n", "float", "str", "true"))
+), ids=("minus-1", "wraps-to-0", "past-n", "2-to-63", "2-to-70", "float", "str",
+        "true"))
 def test_unvalidated_label_outside_0_to_n_raises_tree_error(call, parent, message):
     # pending[-1] wrapped to label 3 in the scan, so classify returned counts [0, 0, 0, 1]
     with pytest.raises(TreeError, match=f"^{message}$"):
