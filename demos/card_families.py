@@ -11,11 +11,11 @@ of its own fixed-point equation.
 from slithercode import (
     Deck,
     binary_lr_trial,
-    card_trial,
     constants,
     full_binary_table,
     full_binary_trial,
     plane_trial,
+    prefix_alpha,
     run_trials,
 )
 
@@ -43,14 +43,16 @@ for name, trial, target in games:
 print("\nsmall full-binary decks are exactly enumerable; m=3 (n=7):")
 table = full_binary_table(3)
 print("  exact:", dict(sorted(table.counts.items())), "out of", table.total, "deals")
-deck = Deck.full_binary(3)
-h = run_trials(lambda rng: card_trial(deck, rng), 20_000, seed, n=7, parameter="alpha")
+cards = Deck.full_binary(3).cards()  # each deal shuffles these
+h = run_trials(lambda rng: prefix_alpha(rng.permutation(cards), 7), 20_000, seed,
+               n=7, parameter="alpha")
 print("  20000 sampled deals:", {v: h.counts[v] for v in sorted(h.counts)})
 probs = table.probabilities()
 print("  exact probabilities:", {v: round(p, 4) for v, p in sorted(probs.items())})
 
 print("\nan arbitrary deck works too; cards (1,1,1,2) on n=5:")
-d = Deck(n=5, multiplicities=(3, 1, 0, 0, 0))
-h = run_trials(lambda rng: card_trial(d, rng), 8_000, seed, n=5, parameter="alpha")
+cards = Deck(n=5, multiplicities=(3, 1, 0, 0, 0)).cards()
+h = run_trials(lambda rng: prefix_alpha(rng.permutation(cards), 5), 8_000, seed,
+               n=5, parameter="alpha")
 print("  sampled:", {v: h.counts[v] for v in sorted(h.counts)},
       "  (exact conditional law is 3/4 on alpha=3, 1/4 on alpha=4)")

@@ -14,7 +14,6 @@ from slithercode import (
     bf_max_capacity_edges,
     bf_max_independent,
     classify,
-    matching_certificate,
     max_capacity_edges,
     path_cover_decomposition,
     sample_uniform_rooted_tree,
@@ -36,7 +35,7 @@ print("  P:", sorted(pm1.p_set()))
 print("  independence number:", alpha, "  brute force:", bf_max_independent(t))
 print("  matching number:", t.n - alpha)
 
-cert = matching_certificate(t)
+cert = strategic_set(t, 1)
 print("  maximum matching, one edge per N vertex:", list(cert))
 
 pm2 = classify(t, COMPLY)

@@ -14,7 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, fields
 
-from .games import dice_trial, run_trials
+from .codec import prefix_alpha
+from .games import DEALS, run_trials
 from .trees import _strict_int
 
 
@@ -141,7 +142,8 @@ def clt_check(n: int, trials: int, seed: int, threads: int | None = None) -> Clt
     threads accepts only None or 1, as in run_trials.
     """
     n, trials = clt_sizes(n, trials)
-    hist = run_trials(lambda rng: dice_trial(n, rng), trials, seed,
+    deal = DEALS["dice"](n)
+    hist = run_trials(lambda rng: prefix_alpha(deal(rng), n), trials, seed,
                       n=n, parameter="alpha", threads=threads)
 
     cons = constants()

@@ -209,6 +209,7 @@ def cmd_decode(args):
 
 
 def cmd_params(args):
+    b = Variant(args.b).b  # the capacity rule, before the tree is read
     tree = parse_tree(read_input(args.input))
     maps = {"normal": trees.classify(tree, NORMAL), "comply": trees.classify(tree, Variant(2))}
     matching, path_edges = maps["normal"].capacity_edges(), maps["comply"].capacity_edges()
@@ -219,8 +220,8 @@ def cmd_params(args):
         "matching": matching,
         "path_edges": path_edges,
         "path_cover": tree.n - path_edges,
-        "b": args.b,
-        "capacity_edges": trees.max_capacity_edges(tree, args.b),
+        "b": b,
+        "capacity_edges": trees.max_capacity_edges(tree, b),
     }
     if args.format == "json":
         return {**out, "classification": {k: pm.labels() for k, pm in maps.items()}}
@@ -272,8 +273,9 @@ def cmd_sample(args):
     n = _check_positive(args.n, "n")  # refuse it, and the family's size rule, before a seed
     deal = games.DEALS["dice" if args.family == "uniform" else args.family](n)
     source = games.RandomSource(resolve_seed(args.seed))
-    sampled = [codec.decode_sequence(deal(source.trial_rng(i)).tolist(), n, args.variant)
-               for i in range(args.count)]
+    draws = (deal(source.trial_rng(i)).tolist() for i in range(args.count))
+    # a deal's symbols are ints in 1..n, so its code skips SlitherCode's checks
+    sampled = [codec.slither_decode(codec._code(n, args.variant, tuple(d))) for d in draws]
     if args.format == "json":
         dicts = [tree_to_json_dict(t) for t in sampled]
         return dicts if args.count > 1 else dicts[0]

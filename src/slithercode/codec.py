@@ -21,8 +21,9 @@ variant's name, only its capacity b.
 
 SlitherCode checks every code built from outside input, once, as RootedTree
 checks every tree.  The library builds its own unchecked: _code builds
-encode's code, the parents of a checked tree, and counting's Prufer codes;
-trees._rooted builds decode's tree and the Prufer walk's, trees by construction.
+encode's code, the parents of a checked tree, counting's Prufer codes and
+the codes of sampled deals; trees._rooted builds decode's tree and the
+Prufer walk's, trees by construction.
 
 The reading rules extract tree parameters from a code without decoding:
 independence and matching numbers, the root and full P-set, and the

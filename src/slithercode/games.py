@@ -31,7 +31,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .codec import decode_sequence, prefix_alpha, prufer_decode
+from .codec import _code, prefix_alpha, prufer_decode, slither_decode
 from .trees import (NORMAL, RootedTree, Variant, _check_positive, _echo, _sequence, _strict_int,
                     _strict_ints)
 
@@ -140,14 +140,9 @@ def fresh_seed() -> int:
     return secrets.randbits(63)
 
 
-def dice_deal(n: int, rng: np.random.Generator) -> np.ndarray:
+def _dice(n: int, rng: np.random.Generator) -> np.ndarray:
     """n-1 throws of an n-sided die; as a code they are a uniform rooted tree."""
-    n = _check_positive(n, "n")
     return rng.integers(1, n + 1, size=n - 1)
-
-
-def dice_trial(n: int, rng: np.random.Generator) -> int:
-    return prefix_alpha(dice_deal(n, rng), n)
 
 
 @dataclass(frozen=True)
@@ -191,10 +186,6 @@ class Deck:
         return cls(n=2 * m + 1, multiplicities=(2,) * m + (0,) * (m + 1))
 
 
-def card_trial(deck: Deck, rng: np.random.Generator) -> int:
-    return prefix_alpha(rng.permutation(deck.cards()), deck.n)
-
-
 def full_binary_m(n: int) -> int:
     """Internal-vertex count m of the full binary trees on n = 2m+1 vertices."""
     n = _strict_int(n, "n")
@@ -203,32 +194,20 @@ def full_binary_m(n: int) -> int:
     return (n - 1) // 2
 
 
-def full_binary_deal(m: int, rng: np.random.Generator) -> np.ndarray:
-    """Shuffled deck of two cards of each of 1..m: the cards of Deck.full_binary(m)."""
-    m = _check_positive(m, "m")
-    return rng.permutation(np.repeat(np.arange(1, m + 1), 2))
+def _two_of_each(k: int, dealt: int, rng: np.random.Generator) -> np.ndarray:
+    """The first dealt cards of a shuffled deck of two cards of each of 1..k.
 
-
-def full_binary_trial(m: int, rng: np.random.Generator) -> int:
-    cards = full_binary_deal(m, rng)  # reads m; its 2m cards are the n - 1 of n = 2m + 1
-    return prefix_alpha(cards, len(cards) + 1)
-
-
-def binary_lr_deal(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Deck of 2n cards (v, left/right side), deal n-1, sides ignored.
-
-    Models uniform binary trees with distinguished left/right children; the
-    n+1 undealt cards are the free attachment slots.
+    Card c of 0..2k-1 shows c // 2 + 1, so the shuffle draws what shuffling
+    the sorted cards draws.  Full-binary deals all 2m cards of k = m, the
+    cards of Deck.full_binary(m).  Binary-lr deals n-1 of the 2n cards
+    (v, left/right side) of k = n, sides ignored: it models uniform binary
+    trees with distinguished left/right children, and the n+1 undealt cards
+    are the free attachment slots.
     """
-    n = _check_positive(n, "n")
-    return rng.permutation(2 * n)[: n - 1] // 2 + 1
+    return rng.permutation(2 * k)[:dealt] // 2 + 1
 
 
-def binary_lr_trial(n: int, rng: np.random.Generator) -> int:
-    return prefix_alpha(binary_lr_deal(n, rng), n)
-
-
-def plane_deal(n: int, rng: np.random.Generator) -> np.ndarray:
+def _plane(n: int, rng: np.random.Generator) -> np.ndarray:
     """Shuffle n-1 numbered red cards into n-1 black cards.
 
     Red card j gets label b_j = number of black cards before it, in 0..n-1.
@@ -243,7 +222,6 @@ def plane_deal(n: int, rng: np.random.Generator) -> np.ndarray:
     red card from the left has r reds before it, so the blacks before it
     are its position less r.
     """
-    n = _check_positive(n, "n")
     perm = rng.permutation(2 * n - 2)
     red = np.flatnonzero(perm < n - 1)
     labels = np.empty(n - 1, dtype=np.int64)
@@ -251,20 +229,33 @@ def plane_deal(n: int, rng: np.random.Generator) -> np.ndarray:
     return labels
 
 
-def plane_trial(n: int, rng: np.random.Generator) -> int:
-    return prefix_alpha(plane_deal(n, rng), n)
-
-
-# DEALS[family](n) reads n once by the family's size rule and returns its deal(rng):
-# the n-1 cards whose coupon read is the family's game.  Decoded at any variant
-# they draw the family's trees with one law, as a vertex's symbol count is its
-# out-degree under every variant; plane's deal has no tree codec here.
+# DEALS[family](n) reads n once by the family's size rule and returns its deal(rng),
+# which trusts that size: the n-1 cards whose coupon read is the family's game.
+# Decoded at any variant they draw the family's trees with one law, as a vertex's
+# symbol count is its out-degree under every variant; plane's deal has no tree codec here.
 DEALS = {
-    "dice": lambda n: functools.partial(dice_deal, _check_positive(n, "n")),
-    "full-binary": lambda n: functools.partial(full_binary_deal, full_binary_m(n)),
-    "binary-lr": lambda n: functools.partial(binary_lr_deal, _check_positive(n, "n")),
-    "plane": lambda n: functools.partial(plane_deal, _check_positive(n, "n")),
+    "dice": lambda n: functools.partial(_dice, _check_positive(n, "n")),
+    "full-binary": lambda n: functools.partial(_two_of_each, m := full_binary_m(n), 2 * m),
+    "binary-lr": lambda n: functools.partial(_two_of_each, n := _check_positive(n, "n"), n - 1),
+    "plane": lambda n: functools.partial(_plane, _check_positive(n, "n")),
 }
+
+
+def dice_trial(n: int, rng: np.random.Generator) -> int:
+    return prefix_alpha(DEALS["dice"](n)(rng), n)
+
+
+def full_binary_trial(m: int, rng: np.random.Generator) -> int:
+    n = 2 * _check_positive(m, "m") + 1
+    return prefix_alpha(DEALS["full-binary"](n)(rng), n)
+
+
+def binary_lr_trial(n: int, rng: np.random.Generator) -> int:
+    return prefix_alpha(DEALS["binary-lr"](n)(rng), n)
+
+
+def plane_trial(n: int, rng: np.random.Generator) -> int:
+    return prefix_alpha(DEALS["plane"](n)(rng), n)
 
 
 def sample_uniform_rooted_tree(n: int, variant: Variant = NORMAL,
@@ -274,10 +265,12 @@ def sample_uniform_rooted_tree(n: int, variant: Variant = NORMAL,
     The dice throws are the code: uniform symbols -> uniform trees, by
     bijectivity; the variant changes which tree a given throw sequence maps
     to but not the distribution.  With no rng, one is seeded from system entropy.
+    The throws are ints in 1..n, so the code skips SlitherCode's checks.
     """
+    n = _check_positive(n, "n")
     if rng is None:
         rng = np.random.default_rng()
-    return decode_sequence(dice_deal(n, rng).tolist(), n, variant)
+    return slither_decode(_code(n, variant, tuple(_dice(n, rng).tolist())))
 
 
 def sample_uniform_labelled_tree(n: int, rng: np.random.Generator | None = None):

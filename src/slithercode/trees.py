@@ -510,15 +510,6 @@ def independence_number(tree: RootedTree) -> int:
     return tree.n - matching_number(tree)
 
 
-def matching_certificate(tree: RootedTree) -> tuple[tuple[int, int], ...]:
-    """The b=1 strategic set: each N-vertex paired with its smallest-labelled P-child.
-
-    Every N-vertex has a P-child, which is paired at most once, and under b=1
-    a P-vertex has none, so these n - |P| edges form a maximum matching.
-    """
-    return strategic_set(tree, 1)
-
-
 def max_capacity_edges(tree: RootedTree, b: int) -> int:
     """Largest edge set in which every vertex has degree <= b."""
     return classify(tree, Variant(b)).capacity_edges()
@@ -546,7 +537,9 @@ def strategic_set(tree: RootedTree, b: int) -> tuple[tuple[int, int], ...]:
 
     An N-vertex links down to b P-children and never up, so its degree is b;
     a P-vertex links up once at most and down b-1 times at most.  There are
-    max_capacity_edges(tree, b) pairs.
+    max_capacity_edges(tree, b) pairs.  At b=1 each N-vertex is paired with
+    its smallest-labelled P-child, which is paired at most once, and a
+    P-vertex has no P-child, so these n - |P| edges form a maximum matching.
     """
     return tuple(sorted((v, c) for c, v in enumerate(_links(tree, b)) if v))
 

@@ -100,6 +100,16 @@ def test_params_figure_one(capsys):
     assert d["classification"]["comply"]["3"] == "P1"
 
 
+@pytest.mark.parametrize("b", ("0", "-1"))
+def test_params_refuses_a_capacity_before_it_reads_the_tree(capsys, monkeypatch, b):
+    # the tree was parsed and classified twice before --b was refused
+    parse = mock.Mock(side_effect=cli.parse_tree)
+    monkeypatch.setattr(cli, "parse_tree", parse)
+    rc, out, err = run_cli(capsys, "params", FIG1_TREE_TEXT, "--b", b)
+    assert (rc, out, err) == (2, "", f"error: capacity must be >= 1, got {b}\n")
+    assert not parse.called
+
+
 def test_read_normal(capsys):
     rc, out, _ = run_cli(capsys, "read", "--variant", "normal", "--n", "10",
                          FIG1_ARG, "--format", "json")

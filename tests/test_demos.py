@@ -1,8 +1,8 @@
 """The quick demos run to completion against the source tree.
 
-Together they exercise classify, strategic_set, matching_certificate and
-path_cover_decomposition the way a reader of the README would.  The two game
-demos take several seconds each and are left out.
+Together they exercise classify, strategic_set and path_cover_decomposition
+the way a reader of the README would.  The two game demos take several
+seconds each and are left out.
 """
 
 import os

@@ -19,7 +19,6 @@ from slithercode import (
     RandomSource,
     TrialHistogram,
     binary_lr_trial,
-    card_trial,
     chi_square,
     dice_trial,
     fresh_seed,
@@ -34,8 +33,7 @@ from slithercode import (
 )
 
 from slithercode.codec import decode_sequence
-from slithercode.games import (DEALS, binary_lr_deal, dice_deal, full_binary_deal,
-                               full_binary_m, plane_deal)
+from slithercode.games import DEALS, _plane, full_binary_m
 from slithercode.trees import COMPLY, NORMAL, Variant
 
 from conftest import multiset_permutations
@@ -214,7 +212,7 @@ def test_the_coupon_read_refuses_n_below_1(symbols, n, message):
 def test_single_symbol_deck_always_reads_three():
     d = Deck(n=4, multiplicities=(3, 0, 0, 0))
     rng = np.random.default_rng(0)
-    assert {card_trial(d, rng) for _ in range(20)} == {3}
+    assert {prefix_alpha(rng.permutation(d.cards()), d.n) for _ in range(20)} == {3}
 
 
 def test_full_binary_one_pair_always_reads_two():
@@ -267,7 +265,8 @@ def test_card_trial_matches_the_exhaustive_conditional_law():
     d = Deck(n=5, multiplicities=(3, 1, 0, 0, 0))
     exact = Counter(prefix_alpha(deal, 5) for deal in multiset_permutations(d.cards()))
     assert exact == {3: 3, 4: 1}
-    hist = run_trials(lambda rng: card_trial(d, rng), 4000, 17, n=5, parameter="alpha")
+    hist = run_trials(lambda rng: prefix_alpha(rng.permutation(d.cards()), d.n), 4000, 17,
+                      n=5, parameter="alpha")
     assert chi_square(hist, exact).ok
 
 
@@ -282,20 +281,25 @@ def test_lr_and_plane_trials_stay_in_range(n, seed):
 
 
 @pytest.mark.parametrize(
-    "deal, trial, size, n",
+    "family, deal, trial, size, n",
     (
-        (dice_deal, dice_trial, 9, 9),
-        (full_binary_deal, full_binary_trial, 4, 9),
-        (binary_lr_deal, binary_lr_trial, 9, 9),
-        (plane_deal, plane_trial, 9, 9),
-        (plane_deal, plane_trial, 1, 1),
+        # each deck as first defined; the plane deal's reference is the next test's
+        ("dice", lambda rng: rng.integers(1, 10, size=8), dice_trial, 9, 9),
+        ("full-binary", lambda rng: rng.permutation(Deck.full_binary(4).cards()),
+         full_binary_trial, 4, 9),
+        ("binary-lr", lambda rng: rng.permutation(np.repeat(np.arange(1, 10), 2))[:8],
+         binary_lr_trial, 9, 9),
+        ("plane", lambda rng: _plane(9, rng), plane_trial, 9, 9),
+        ("plane", lambda rng: _plane(1, rng), plane_trial, 1, 1),
     ),
+    ids=("dice_deal-dice_trial-9-9", "full_binary_deal-full_binary_trial-4-9",
+         "binary_lr_deal-binary_lr_trial-9-9", "plane_deal-plane_trial-9-9",
+         "plane_deal-plane_trial-1-1"),
 )
-def test_each_trial_is_the_coupon_read_of_its_deal(deal, trial, size, n):
-    family = {dice_deal: "dice", full_binary_deal: "full-binary",
-              binary_lr_deal: "binary-lr", plane_deal: "plane"}[deal]
+def test_each_trial_is_the_coupon_read_of_its_deal(family, deal, trial, size, n):
+    # a trial takes its family's size (m for full-binary); DEALS[family] takes n
     for i in range(20):
-        cards = deal(size, RandomSource(3).trial_rng(i))
+        cards = deal(RandomSource(3).trial_rng(i))
         assert len(cards) == n - 1
         assert trial(size, RandomSource(3).trial_rng(i)) == prefix_alpha(cards, n)
         assert np.array_equal(DEALS[family](n)(RandomSource(3).trial_rng(i)), cards)
@@ -314,7 +318,7 @@ def test_plane_deal_draws_the_cards_of_a_running_black_count():
     source = RandomSource(26)
     for i in range(1000):
         n = (1, 2, 3, 7, 40, 500)[i % 6]
-        got, want = plane_deal(n, source.trial_rng(i)), reference(n, source.trial_rng(i))
+        got, want = DEALS["plane"](n)(source.trial_rng(i)), reference(n, source.trial_rng(i))
         assert got.dtype == want.dtype and np.array_equal(got, want), (n, i)
 
 
@@ -393,16 +397,28 @@ def test_plane_tree_alpha_law_small_cases():
 
 
 def test_full_binary_deal_shuffles_the_full_binary_deck():
-    # the same cards in the same order, so the same draws give the same deal
+    # the same cards in the same order, so the same draws give the same deal; binary-lr
+    # deals the first n - 1 of its shuffled deck of two cards of each of 1..n
     for m in (1, 3, 40):
         want = np.random.default_rng(m).permutation(Deck.full_binary(m).cards())
-        assert (full_binary_deal(m, np.random.default_rng(m)) == want).all()
+        got = DEALS["full-binary"](2 * m + 1)(np.random.default_rng(m))
+        assert got.dtype == want.dtype and (got == want).all()
+    for n in (1, 2, 9, 80):
+        want = np.random.default_rng(n).permutation(np.repeat(np.arange(1, n + 1), 2))[:n - 1]
+        got = DEALS["binary-lr"](n)(np.random.default_rng(n))
+        assert got.dtype == want.dtype and (got == want).all()
 
 
-@pytest.mark.parametrize("deal", (dice_deal, full_binary_deal, binary_lr_deal, plane_deal))
-def test_deals_check_their_size(deal):
-    with pytest.raises(ValueError, match="must be >= 1, got 0"):
-        deal(0, np.random.default_rng(0))
+@pytest.mark.parametrize("family, message", (
+    ("dice", "^n must be >= 1, got 0$"),
+    ("full-binary", r"^full-binary needs odd n = 2m\+1 >= 3, got 0$"),
+    ("binary-lr", "^n must be >= 1, got 0$"),
+    ("plane", "^n must be >= 1, got 0$"),
+), ids=("dice_deal", "full_binary_deal", "binary_lr_deal", "plane_deal"))
+def test_deals_check_their_size(family, message):
+    # DEALS reads the size; the deal it returns trusts it
+    with pytest.raises(ValueError, match=message):
+        DEALS[family](0)
 
 
 def test_full_binary_m():
@@ -418,7 +434,7 @@ def test_full_binary_m():
 def test_uniform_rooted_sampler_decodes_the_dice_deal():
     for variant in (NORMAL, COMPLY):
         tree = sample_uniform_rooted_tree(9, variant, RandomSource(4).trial_rng(0))
-        throws = dice_deal(9, RandomSource(4).trial_rng(0))
+        throws = DEALS["dice"](9)(RandomSource(4).trial_rng(0))
         assert tree == decode_sequence(throws, 9, variant)
 
 

@@ -14,8 +14,8 @@ through RandomSource.trial_rng.
 A tree is one label-indexed parent tuple, with no second form to adapt it
 back to.  A tree skips its checks in trees._rooted alone, for validate_tree,
 decode and the Prufer walk, so the pruning scan guards against nothing, and
-a code skips its checks in codec._code alone, for encode and the rooted
-sweep, whose symbols the library built.
+a code skips its checks in codec._code alone, for encode, the rooted
+sweep and the two samplers, whose symbols the library built.
 Each command of the command line returns its output, and run alone writes
 it to stdout.  A sequence of values and a
 sequence of pairs each have one reader, which raises the caller's error
@@ -24,8 +24,9 @@ refused integer is worded by _strict_int alone, naming where it sits, so no
 reader catches its refusal to word it again.  The coupon read and the plane
 deal keep no running count of every position.  Nothing defines merge,
 __add__ or from_json_dict: no histogram is joined from parts or read back.
-Each rule has one name: no alias such as coupon_read or capacity, and no
-pickling path for a generator that nothing pickles.
+Each rule has one name: no alias such as coupon_read, capacity or
+matching_certificate, and no pickling path for a generator that nothing
+pickles.  DEALS reads each family's size once, and the deals it wraps trust it.
 """
 
 import ast
@@ -79,7 +80,7 @@ def test_module_uses_every_name_it_imports(path):
 def test_cli_draws_every_family_through_the_deal_table():
     per_family = {f"{family.replace('-', '_')}_{kind}"
                   for family in games.DEALS for kind in ("deal", "trial")}
-    per_family |= {"sample_uniform_rooted_tree", "card_trial"}
+    per_family |= {"sample_uniform_rooted_tree", "card_trial", "_dice", "_two_of_each", "_plane"}
     named = {node.attr for node in ast.walk(parse(PACKAGE / "cli.py"))
              if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
              and node.value.id == "games"}
@@ -226,11 +227,28 @@ def test_trees_are_built_unchecked_in_one_place_for_three_callers():
                        "codec.prufer_encode"}, callers
 
 
-def test_codes_are_built_unchecked_in_one_place_for_two_callers():
+def test_codes_are_built_unchecked_in_one_place_for_four_callers():
     # codec._code skips SlitherCode's checks, so only the library's own symbols may reach it:
-    # encode's gathered parents and the sweep's Prufer digits
+    # encode's gathered parents, the sweep's Prufer digits and the two samplers' deals
     callers = _sites(_names("_code"))
-    assert callers == {"codec.slither_encode", "counting.exact_rooted_distribution"}, callers
+    assert callers == {"codec.slither_encode", "counting.exact_rooted_distribution",
+                       "cli.cmd_sample", "games.sample_uniform_rooted_tree"}, callers
+
+
+def test_the_deals_trust_their_size():
+    # DEALS reads each family's size once, so the deals it wraps read none again
+    wrapped = {"_dice", "_two_of_each", "_plane"}
+    readers = {"_check_positive", "_strict_int", "full_binary_m"}
+    deals = [node for node in parse(PACKAGE / "games.py").body
+             if isinstance(node, ast.FunctionDef) and node.name in wrapped]
+    assert {func.name for func in deals} == wrapped
+    called = {(func.name, node.func.id) for func in deals for node in ast.walk(func)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id in readers}
+    assert not called, f"a deal reads its size again: {sorted(called)}"
+    partials = {node.args[0].id for node in ast.walk(parse(PACKAGE / "games.py"))
+                if isinstance(node, ast.Call) and ast.unparse(node.func) == "functools.partial"}
+    assert partials == wrapped, partials
 
 
 def test_the_pruning_scan_trusts_its_tree():
@@ -313,9 +331,9 @@ def test_a_refused_integer_has_one_message():
         assert not caught, f"{name} catches ValueError on lines {caught}"
 
 
-@pytest.mark.parametrize("path, name", (("codec.py", "prefix_alpha"), ("games.py", "plane_deal")))
+@pytest.mark.parametrize("path, name", (("codec.py", "prefix_alpha"), ("games.py", "_plane")))
 def test_the_coupon_read_and_the_plane_deal_keep_no_running_count(path, name):
-    # prefix_alpha sorts the first occurrences and plane_deal subtracts each red card's rank;
+    # prefix_alpha sorts the first occurrences and _plane subtracts each red card's rank;
     # a cumsum over every position was most of a trial's time
     func = next(node for node in parse(PACKAGE / path).body
                 if isinstance(node, ast.FunctionDef) and node.name == name)
@@ -327,11 +345,14 @@ def test_the_coupon_read_and_the_plane_deal_keep_no_running_count(path, name):
 
 def test_each_rule_has_one_name():
     # coupon_read was prefix_alpha and capacity(b) was Variant(b) under a second name, and
-    # SeedWords.__reduce__ and games._seed_words pickled a generator, which nothing does
-    gone = {"coupon_read", "capacity", "_seed_words", "__reduce__"}
+    # SeedWords.__reduce__ and games._seed_words pickled a generator, which nothing does;
+    # matching_certificate(t) was strategic_set(t, 1), and card_trial the cards game's
+    # prefix_alpha line with the deck expanded again on every trial
+    gone = {"coupon_read", "capacity", "_seed_words", "__reduce__", "matching_certificate",
+            "card_trial"}
     found = [(path.name, node.lineno) for path in MODULES for node in ast.walk(parse(path))
              if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in gone
              or isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store) and node.id in gone
              or isinstance(node, ast.alias) and (node.asname or node.name) in gone]
     assert not found, f"a second name is back: {found}"
-    assert len(slithercode.__all__) == 60, len(slithercode.__all__)
+    assert len(slithercode.__all__) == 58, len(slithercode.__all__)

@@ -49,8 +49,7 @@ from slithercode import (
 )
 from slithercode.cli import parse_code
 from slithercode.counting import all_codes
-from slithercode.games import (binary_lr_deal, dice_deal, full_binary_deal, full_binary_m,
-                               plane_deal)
+from slithercode.games import DEALS, full_binary_m
 
 RNG = np.random.default_rng(0)
 PATH3 = validate_tree({"n": 3, "parent": {"2": 1, "3": 2}})
@@ -67,10 +66,10 @@ ENTRY_POINTS = (
     ("full_binary_table", "m", full_binary_table, ValueError),
     ("exact_rooted_distribution", "n", exact_rooted_distribution, ValueError),
     ("exact_dice_distribution", "n", exact_dice_distribution, ValueError),
-    ("dice_deal", "n", lambda s: dice_deal(s, RNG), ValueError),
-    ("full_binary_deal", "m", lambda s: full_binary_deal(s, RNG), ValueError),
-    ("binary_lr_deal", "n", lambda s: binary_lr_deal(s, RNG), ValueError),
-    ("plane_deal", "n", lambda s: plane_deal(s, RNG), ValueError),
+    # each family's deal reads its size in DEALS, and the deal it returns trusts it
+    ("dice_deal", "n", DEALS["dice"], ValueError),
+    ("binary_lr_deal", "n", DEALS["binary-lr"], ValueError),
+    ("plane_deal", "n", DEALS["plane"], ValueError),
     ("dice_trial", "n", lambda s: dice_trial(s, RNG), ValueError),
     ("full_binary_trial", "m", lambda s: full_binary_trial(s, RNG), ValueError),
     ("binary_lr_trial", "n", lambda s: binary_lr_trial(s, RNG), ValueError),
@@ -93,6 +92,7 @@ ENTRY_POINTS = (
 # these read the size strictly, then check minima of their own, such as n >= 100
 WITH_OWN_MINIMA = (
     ("full_binary_m", "n", full_binary_m, ValueError),
+    ("full_binary_deal", "n", DEALS["full-binary"], ValueError),
     ("clt_check-n", "n", lambda s: clt_check(s, 10_000, 1), ValueError),
     ("clt_check-trials", "trials", lambda s: clt_check(100, s, 1), ValueError),
 )

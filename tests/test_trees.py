@@ -22,7 +22,6 @@ from slithercode import (
     bf_max_independent,
     classify,
     independence_number,
-    matching_certificate,
     matching_number,
     max_capacity_edges,
     path_cover_decomposition,
@@ -568,7 +567,7 @@ def test_p_child_counts_recount(t, b):
 
 @given(trees)
 def test_matching_certificate_is_a_maximum_matching(t):
-    cert = matching_certificate(t)
+    cert = strategic_set(t, 1)
     assert len(cert) == matching_number(t)
     seen = set()
     pm = classify(t, NORMAL)
@@ -607,8 +606,12 @@ def test_capacity_edges_of_a_classification(t, b):
 
 
 def test_strategic_b1_is_the_certificate_matching(fig1):
+    # each N-vertex paired with its smallest-labelled P-child
     t = fig1["tree"]
-    assert strategic_set(t, 1) == matching_certificate(t)
+    pm, kids = classify(t, NORMAL), t.children_lists()
+    want = tuple((v, min(c for c in kids[v] if pm.is_p(c)))
+                 for v in range(1, t.n + 1) if not pm.is_p(v))
+    assert strategic_set(t, 1) == want
 
 
 # --- path cover -------------------------------------------------------------
